@@ -1,6 +1,7 @@
 #include "fm2/fm2.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -128,6 +129,7 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
   }
   credits_.assign(n_hosts_, cfg_.credits_per_peer);
   freed_.assign(n_hosts_, 0);
+  owed_.assign((n_hosts_ + 63) / 64, 0);
   next_msg_seq_.assign(n_hosts_, 0);
   src_state_.resize(n_hosts_);
 
@@ -162,7 +164,21 @@ std::size_t Endpoint::active_handlers() const {
 std::uint16_t Endpoint::take_piggyback(int dest) {
   int v = std::min(freed_[dest], 0xFFFF);
   freed_[dest] -= v;
+  if (freed_[dest] < cfg_.credit_return_threshold) {
+    owed_[dest >> 6] &= ~(std::uint64_t{1} << (dest & 63));
+  }
   return static_cast<std::uint16_t>(v);
+}
+
+int Endpoint::next_owed(int from) const {
+  std::size_t w = static_cast<std::size_t>(from) >> 6;
+  if (w >= owed_.size()) return -1;
+  std::uint64_t bits = owed_[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w == owed_.size()) return -1;
+    bits = owed_[w];
+  }
+  return static_cast<int>(w * 64) + std::countr_zero(bits);
 }
 
 sim::Task<SendStream> Endpoint::begin_message(int dest, std::size_t size,
@@ -302,10 +318,9 @@ sim::Task<void> Endpoint::acquire_credit(int dest) {
   }
 }
 
-sim::Task<void> Endpoint::maybe_return_credits(int dest) {
-  if (freed_[dest] < cfg_.credit_return_threshold) co_return;
+sim::Task<void> Endpoint::return_credits(int dest) {
   std::uint16_t give = take_piggyback(dest);
-  if (give == 0) co_return;
+  assert(give > 0);
   ++stats_.credit_packets_sent;
   PacketHeader h;
   h.type = static_cast<std::uint16_t>(PacketType::kCredit);
@@ -496,8 +511,11 @@ sim::Task<int> Endpoint::extract(std::size_t budget) {
   }
 
   co_await host.sync();
-  for (int peer = 0; peer < n_hosts_; ++peer) {
-    co_await maybe_return_credits(peer);
+  // Ascending peer order, resumed past each peer served: while a credit
+  // packet's sync is suspended another poller may free slots, and peers
+  // owed by then are picked up only if they lie ahead of the cursor.
+  for (int peer = next_owed(0); peer >= 0; peer = next_owed(peer + 1)) {
+    co_await return_credits(peer);
   }
   while (!deferred_.empty()) {
     auto op = deferred_.take_front();

@@ -383,8 +383,14 @@ class Endpoint {
   sim::Task<void> coll_run(std::uint32_t group, net::Nic::CollSubmit s);
   sim::Task<void> acquire_credit(int dest);
   std::uint16_t take_piggyback(int dest);
-  void slot_freed(int src) { ++freed_[src]; }
-  sim::Task<void> maybe_return_credits(int dest);
+  void slot_freed(int src) {
+    if (++freed_[src] >= cfg_.credit_return_threshold) {
+      owed_[src >> 6] |= std::uint64_t{1} << (src & 63);
+    }
+  }
+  /// Lowest peer >= `from` owed an explicit credit return, or -1.
+  int next_owed(int from) const;
+  sim::Task<void> return_credits(int dest);
   /// Cluster-wide packet-buffer pool (owned by the fabric).
   BufferPool& pool() noexcept { return fabric_.pool(); }
 
@@ -402,6 +408,9 @@ class Endpoint {
   std::vector<HandlerFn> handlers_;
   std::vector<int> credits_;
   std::vector<int> freed_;
+  // Bit p set iff freed_[p] >= credit_return_threshold: extract() visits
+  // only these peers, so a poll costs work per owed peer, not per host.
+  std::vector<std::uint64_t> owed_;
   std::vector<std::uint32_t> next_msg_seq_;
   std::vector<SrcState> src_state_;
   sim::RingQueue<net::RxPacket> pending_;  // parked while hunting for credits

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "fm1/fm1.hpp"
 #include "fm2/fm2.hpp"
@@ -18,6 +19,11 @@ struct PlatformCase {
   const char* name;
   net::ClusterParams (*make)();
 };
+
+// gtest puts the printed parameter into each listed test name. The default
+// printer dumps the struct's raw bytes, which are pointers that move with
+// every run under ASLR; print the case name so the names are stable.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.name; }
 
 net::ClusterParams odd_platform() {
   auto p = net::ppro_fm2_cluster(2);

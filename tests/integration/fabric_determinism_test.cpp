@@ -4,8 +4,18 @@
 // This is the datacenter-scale analogue of parallel_determinism_test's
 // chain workloads: multipath ECMP, per-pair lookahead from true fat-tree
 // distances, and cross-shard flow timestamps all have to agree exactly.
+//
+// Thread-count agreement alone cannot see a change that reorders the
+// simulation the same way at every thread count (e.g. a different credit
+// return order), so each pattern's digest and event count are also pinned.
+// If a deliberate semantic change moves them, re-pin kPinned with the
+// values this test prints on failure — in the same commit as the change,
+// with the reason in the commit message.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -50,8 +60,33 @@ WaveOutcome run_fat_tree(workload::TrafficPattern pattern, int threads,
   return o;
 }
 
+struct Pin {
+  workload::TrafficPattern pattern;
+  std::uint64_t digest;
+  std::uint64_t events;
+};
+constexpr Pin kPinned[] = {
+    {workload::TrafficPattern::kUniform, 0x9054bb2b5e458e9bull, 23095},
+    {workload::TrafficPattern::kPermutation, 0x42559f2a9fc683a3ull, 27400},
+    {workload::TrafficPattern::kIncast, 0x13f068e01d801e38ull, 20780},
+    {workload::TrafficPattern::kHotspot, 0xfa9f7479cfb270c0ull, 24687},
+};
+
 class FabricDeterminism
     : public ::testing::TestWithParam<workload::TrafficPattern> {};
+
+TEST_P(FabricDeterminism, MatchesPinnedDigest) {
+  const auto pattern = GetParam();
+  const Pin* pin = std::find_if(
+      std::begin(kPinned), std::end(kPinned),
+      [pattern](const Pin& p) { return p.pattern == pattern; });
+  ASSERT_NE(pin, std::end(kPinned)) << "no pin for this pattern";
+  const auto got = run_fat_tree(pattern, 1);
+  EXPECT_EQ(got.digest, pin->digest)
+      << "digest changed: observable simulation behavior differs; got 0x"
+      << std::hex << got.digest;
+  EXPECT_EQ(got.events, pin->events) << "got " << got.events << " events";
+}
 
 TEST_P(FabricDeterminism, DigestIdenticalAcrossThreadCounts) {
   const auto ref = run_fat_tree(GetParam(), 1);

@@ -75,6 +75,10 @@ struct Harness {
   RunStats run(int threads) {
     par.set_drain(0, [this] { drain(0); });
     par.set_drain(1, [this] { drain(1); });
+    // Without these the engine treats every inbox as empty and may stop
+    // while a message still sits in a ring with both shards idle.
+    par.set_inbox_empty(0, [this] { return ring10.empty(); });
+    par.set_inbox_empty(1, [this] { return ring01.empty(); });
     // Kick off: shard 0 sends value 0 arriving at t=1000 on shard 1, via a
     // local event so the first window has work.
     par.shard(0).schedule_at(0, [this] { send(0, 1000, 0); });
