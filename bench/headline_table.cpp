@@ -1,6 +1,7 @@
 // Headline metrics table: every latency / peak-bandwidth / N1/2 number the
 // paper quotes in the text, paper-vs-measured. This is the one-stop
 // reproduction summary (EXPERIMENTS.md is generated from this output).
+// Exits 1 when any row falls outside its band, so ctest gates it.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -15,11 +16,14 @@ int main() {
   std::puts("=== Headline reproduction table ===\n");
   std::printf("%-22s %-26s %-14s %-14s\n", "metric", "paper", "measured",
               "verdict");
-  auto row = [](const char* metric, const char* paper, double measured,
-                const char* unit, double lo, double hi) {
+  bool all_in_band = true;
+  auto row = [&all_in_band](const char* metric, const char* paper,
+                            double measured, const char* unit, double lo,
+                            double hi) {
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.1f %s", measured, unit);
     bool ok = measured >= lo && measured <= hi;
+    all_in_band = all_in_band && ok;
     std::printf("%-22s %-26s %-14s %-14s\n", metric, paper, buf,
                 ok ? "in band" : "OUT OF BAND");
   };
@@ -96,5 +100,5 @@ int main() {
 
   std::puts("\nbands are documented in EXPERIMENTS.md; absolute numbers are\n"
             "calibrated, shapes and ratios are emergent from protocol code.");
-  return 0;
+  return all_in_band ? 0 : 1;
 }

@@ -11,7 +11,11 @@ is ~0).
 Parallel gate (--parallel-binary): runs `parallel_scaling` briefly and
 checks the sharded engine against BENCH_parallel.json:
   - the determinism digest must be identical at every thread count and on
-    both workloads (dense all-to-all and the sparse ring exchange),
+    both workloads (dense all-to-all and the sparse ring exchange), and
+    must equal the committed digest of each workload whenever the run
+    uses the baseline's msg_size, msgs_per_pair and repetitions (the
+    digest folds in every measured wave) — simulated state does not
+    depend on the machine,
   - steady-state allocs/event per thread count is pinned at exactly
     --parallel-max-allocs (default 0 — the persistent worker pool and the
     per-shard pools leave nothing to allocate),
@@ -196,6 +200,19 @@ def check_parallel(args) -> bool:
         print("bench_check: REGRESSION: parallel determinism digest "
               "diverged across thread counts", file=sys.stderr)
         ok = False
+
+    if all(cur.get(k) == base.get(k)
+           for k in ("msg_size", "msgs_per_pair", "repetitions")):
+        for name, c, b in (("all-to-all", cur, base),
+                           ("ring", cur.get("ring", {}),
+                            base.get("ring", {}))):
+            got = {t["digest"] for t in c.get("threads", [])}
+            want = {t["digest"] for t in b.get("threads", [])}
+            if got != want:
+                print(f"bench_check: REGRESSION: {name} digest "
+                      f"{sorted(got)} != committed {sorted(want)} — the "
+                      "simulated result changed", file=sys.stderr)
+                ok = False
 
     per_thread = {t["threads"]: t for t in cur.get("threads", [])}
     for n, row in sorted(per_thread.items()):

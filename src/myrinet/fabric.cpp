@@ -3,8 +3,87 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
+
+#include "common/copy_stats.hpp"
+#include "sim/parallel.hpp"
 
 namespace fmx::net {
+namespace {
+
+// Mailbox body of one cross-shard packet: this header, then the payload
+// bytes. The engine's mailbox framing carries the head-arrival time and
+// the order key, and the payload length is the rest of the body; `ser` is
+// recomputed from it at the destination.
+struct CrossMsg {
+  std::uint64_t wire_seq;
+  std::uint64_t trace_id;
+  std::uint32_t crc;
+  std::uint32_t link_seq;
+  std::uint32_t ack;
+  std::int32_t src;
+  std::int32_t dst;
+  std::uint32_t rkey;
+  std::uint32_t rdma_offset;
+  std::uint32_t flow;  // ECMP flow label (packet.hpp)
+  std::uint8_t has_ack;
+  std::uint8_t ack_only;
+  std::uint8_t kind;  // PacketKind
+  std::uint8_t pad[5];
+};
+static_assert(std::is_trivially_copyable_v<CrossMsg>);
+
+void encode(std::byte* out, const WirePacket& pkt) {
+  CrossMsg m{};
+  m.wire_seq = pkt.wire_seq;
+  m.trace_id = pkt.trace_id;
+  m.crc = pkt.crc;
+  m.link_seq = pkt.link_seq;
+  m.ack = pkt.ack;
+  m.src = pkt.src;
+  m.dst = pkt.dst;
+  m.has_ack = pkt.has_ack ? 1 : 0;
+  m.ack_only = pkt.ack_only ? 1 : 0;
+  m.kind = static_cast<std::uint8_t>(pkt.kind);
+  m.rkey = pkt.rkey;
+  m.rdma_offset = pkt.rdma_offset;
+  m.flow = pkt.flow;
+  std::memcpy(out, &m, sizeof(m));
+  if (!pkt.payload.empty()) {
+    std::memcpy(out + sizeof(m), pkt.payload.data(), pkt.payload.size());
+    count_hop_copy(pkt.payload.size());
+  }
+}
+
+WirePacket decode(ByteSpan body, BufferPool& pool) {
+  CrossMsg m;
+  std::memcpy(&m, body.data(), sizeof(m));
+  WirePacket pkt;
+  pkt.src = m.src;
+  pkt.dst = m.dst;
+  pkt.wire_seq = m.wire_seq;
+  pkt.trace_id = m.trace_id;
+  pkt.crc = m.crc;
+  pkt.link_seq = m.link_seq;
+  pkt.ack = m.ack;
+  pkt.has_ack = m.has_ack != 0;
+  pkt.ack_only = m.ack_only != 0;
+  pkt.kind = static_cast<PacketKind>(m.kind);
+  pkt.rkey = m.rkey;
+  pkt.rdma_offset = m.rdma_offset;
+  pkt.flow = m.flow;
+  const std::size_t len = body.size() - sizeof(m);
+  pkt.payload = pool.acquire_ref(len);
+  if (len != 0) {
+    std::memcpy(pkt.payload.mutable_bytes().data(), body.data() + sizeof(m),
+                len);
+    count_hop_copy(len);
+  }
+  return pkt;
+}
+
+}  // namespace
 
 Fabric::Fabric(sim::Engine& eng, const FabricParams& p, int n_hosts)
     : eng_(eng), p_(p), n_hosts_(n_hosts), topo_(p, n_hosts) {
@@ -20,12 +99,6 @@ Fabric::Fabric(sim::Engine& eng, const FabricParams& p, int n_hosts)
     links_.push_back(std::make_unique<Link>(eng_, lat));
   }
   endpoints_.resize(n_hosts);
-  // Park slots recycle through free_parked_, so the vector only grows to
-  // the peak number of remote arrivals simultaneously awaiting delivery.
-  // Pay that growth here rather than mid-run: a deep-credit streaming pair
-  // can push the peak past whatever a short warmup happened to reach.
-  parked_.reserve(256);
-  free_parked_.reserve(256);
 }
 
 void Fabric::attach(int host, sim::Channel<WirePacket>* wire_in,
@@ -141,10 +214,10 @@ sim::Task<void> Fabric::transmit(WirePacket pkt) {
   ++stats_.packets;
   stats_.payload_bytes += pkt.payload.size();
 
-  if (port_ != nullptr && shard_of_node_[pkt.dst] != my_shard_) {
+  if (par_ != nullptr && shard_of_node_[pkt.dst] != my_shard_) {
     // Destination owned by a peer shard. Reserve every source-side link
     // (all but the destination's downlink, which its own replica arbitrates)
-    // and publish the packet with its head-arrival time; the receiving
+    // and post the packet with its head-arrival time; the receiving
     // replica finishes the cut-through there, including the SRAM slack
     // acquisition — back-pressure is exerted at the last hop, where the
     // receiving NIC's STOP/GO signal physically lives.
@@ -162,7 +235,15 @@ sim::Task<void> Fabric::transmit(WirePacket pkt) {
       head = (tail_done - ser) + l->latency;
       if (i == 0) uplink_done = tail_done;
     }
-    port_->emit(pkt, head);  // encodes the bytes into the SPSC slot
+    // 60-bit keys: node id (16 bits) above a 44-bit per-shard counter.
+    // Assigned in shard-local program order, so the key sequence is
+    // independent of thread count.
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(pkt.src) << 44) | cross_ctr_++;
+    assert((cross_ctr_ >> 44) == 0 && "cross counter overflow");
+    par_->post(my_shard_, shard_of_node_[pkt.dst], head, key,
+               sizeof(CrossMsg) + pkt.payload.size(),
+               [&pkt](std::byte* out) { encode(out, pkt); });
     pkt.payload.reset();
     co_await eng_.sleep_until(uplink_done);
     co_return;
@@ -211,23 +292,26 @@ sim::Task<void> Fabric::transmit(WirePacket pkt) {
 // ---------------------------------------------------------------------------
 // Parallel (sharded) execution
 
-void Fabric::set_parallel(CrossShardPort* port,
+void Fabric::set_parallel(sim::ParallelEngine* par,
                           const std::int32_t* shard_of_node, int my_shard,
                           std::size_t parked_hint) {
-  port_ = port;
+  par_ = par;
   shard_of_node_ = shard_of_node;
   my_shard_ = my_shard;
-  if (parked_hint > parked_.capacity()) {
-    parked_.reserve(parked_hint);
-    free_parked_.reserve(parked_hint);
-  }
+  // Park slots recycle through free_parked_, so the vector only grows to
+  // the peak number of remote arrivals simultaneously awaiting delivery.
+  // Pay that growth here rather than mid-run: a deep-credit streaming pair
+  // can push the peak past whatever a short warmup happened to reach.
+  parked_.reserve(parked_hint);
+  free_parked_.reserve(parked_hint);
   // Namespace wire sequence numbers by shard so they stay cluster-unique
   // (they are debug/trace metadata; 48 bits of local counter is plenty).
   next_seq_ = static_cast<std::uint64_t>(my_shard) << 48;
 }
 
-void Fabric::accept_remote(WirePacket pkt, sim::Ps head_arrival,
-                           std::uint64_t cross_key) {
+void Fabric::accept_remote(sim::Ps head_arrival, std::uint64_t cross_key,
+                           ByteSpan body) {
+  WirePacket pkt = decode(body, pool_);
   // Park the packet and schedule a 16-byte callback: the cross-band key
   // alone decides where this arrival sorts among same-timestamp events, so
   // the drain order (and thread count) cannot affect the simulation.

@@ -30,18 +30,11 @@
 #include "sim/sync.hpp"
 #include "trace/trace.hpp"
 
-namespace fmx::net {
+namespace fmx::sim {
+class ParallelEngine;
+}
 
-/// Cross-shard transport used in parallel runs (myrinet/parallel_cluster.hpp).
-/// A fabric replica calls emit() for packets whose destination node lives on
-/// a different shard, after reserving all source-side links; `head_arrival`
-/// is the simulated time the packet's head reaches the destination's
-/// downlink — at least one lookahead in the future by construction.
-class CrossShardPort {
- public:
-  virtual ~CrossShardPort() = default;
-  virtual void emit(const WirePacket& pkt, sim::Ps head_arrival) = 0;
-};
+namespace fmx::net {
 
 class Fabric {
  public:
@@ -112,29 +105,31 @@ class Fabric {
   /// Next-free time of `host`'s uplink serializer. Every packet a host
   /// sends — cross-shard or not — must first serialize through this link,
   /// and SerialResource reservations are monotone, so in parallel runs the
-  /// cluster's emission-bound hook (myrinet/parallel_cluster.cpp) reads it
-  /// as a dynamic lower bound on future cross-shard traffic: while a host
-  /// streams, its uplink is reserved microseconds ahead, which is what lets
-  /// peer shards batch far past the static one-hop lookahead.
+  /// cluster's sharpened emission bound (ParallelCluster::emission_bound)
+  /// reads it as a dynamic lower bound on future cross-shard traffic: while
+  /// a host streams, its uplink is reserved microseconds ahead, which is
+  /// what lets peer shards run far past the static one-hop lookahead.
   sim::Ps uplink_free(int host) const noexcept {
     return links_[topo_.uplink(host)]->ser.next_free();
   }
 
-  /// Make this fabric one shard's replica of the cluster fabric.
+  /// Make this fabric shard `my_shard`'s replica of the cluster fabric.
   /// `shard_of_node` maps node id -> owning shard (must outlive the
-  /// fabric); packets to non-local destinations go out through `port`, and
+  /// fabric); packets to non-local destinations are posted to `par`, and
   /// wire_seq values are namespaced by shard so they stay cluster-unique.
   /// `parked_hint` pre-sizes the remote-arrival parking lot: the cluster
-  /// passes its per-shard drain peak so a deep cross-ring batch never grows
+  /// passes its per-shard drain peak so a deep mailbox batch never grows
   /// the vector mid-measurement.
-  void set_parallel(CrossShardPort* port, const std::int32_t* shard_of_node,
-                    int my_shard, std::size_t parked_hint = 256);
+  void set_parallel(sim::ParallelEngine* par,
+                    const std::int32_t* shard_of_node, int my_shard,
+                    std::size_t parked_hint);
 
-  /// Entry point for a packet emitted by a peer shard's replica: schedules
-  /// its delivery (downlink reservation, destination SRAM back-pressure,
-  /// fault hooks) at head_arrival with the deterministic cross-shard key.
-  void accept_remote(WirePacket pkt, sim::Ps head_arrival,
-                     std::uint64_t cross_key);
+  /// Entry point for a packet a peer shard's replica posted: decodes the
+  /// mailbox body and schedules its delivery (downlink reservation,
+  /// destination SRAM back-pressure, fault hooks) at head_arrival with the
+  /// deterministic cross-shard key.
+  void accept_remote(sim::Ps head_arrival, std::uint64_t cross_key,
+                     ByteSpan body);
 
  private:
   struct Link {
@@ -179,9 +174,10 @@ class Fabric {
     WirePacket pkt;
     sim::Ps head = 0;
   };
-  CrossShardPort* port_ = nullptr;
+  sim::ParallelEngine* par_ = nullptr;
   const std::int32_t* shard_of_node_ = nullptr;
   int my_shard_ = 0;
+  std::uint64_t cross_ctr_ = 0;  // cross-shard keys issued by this shard
   std::vector<Parked> parked_;  // remote arrivals awaiting their event
   std::vector<std::uint32_t> free_parked_;
 };

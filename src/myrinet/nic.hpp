@@ -351,7 +351,7 @@ class Nic {
   std::vector<RxPacket> coll_orphans_;  // arrivals before coll_create
   bool coll_running_ = false;  // coll_program spawned (first coll_create)
   // wire_floor state, written only by this NIC's control programs (same
-  // engine, hence same worker thread as the emission-bound hook).
+  // engine, hence same worker thread as ParallelCluster::emission_bound).
   static constexpr sim::Ps kNeverArmed = std::numeric_limits<sim::Ps>::max();
   sim::Ps floor_gap_ = 0;             // min delay before any fresh transmit
   sim::Ps inject_armed_ = kNeverArmed;  // tx inject mid-delay: wake time

@@ -36,6 +36,54 @@ class Node {
   Nic nic_;
 };
 
+/// Bind a fabric's and its buffer pool's live counters into a tracer's
+/// metrics registry so tests and benches can query them by name. Views
+/// only: the hot paths keep bumping plain fields.
+inline void expose_fabric_metrics(trace::MetricsRegistry& m, Fabric& f) {
+  const Fabric::Stats& fs = f.stats();
+  m.expose("fabric.packets", &fs.packets);
+  m.expose("fabric.payload_bytes", &fs.payload_bytes);
+  m.expose("fabric.corrupted", &fs.corrupted);
+  m.expose("fabric.dropped", &fs.dropped);
+  m.expose("fabric.duplicated", &fs.duplicated);
+  m.expose("fabric.delayed", &fs.delayed);
+  const BufferPool::Stats& ps = f.pool().stats();
+  m.expose("pool.acquires", &ps.acquires);
+  m.expose("pool.hits", &ps.pool_hits);
+  m.expose("pool.misses", &ps.fresh_allocs);
+  m.expose("pool.releases", &ps.releases);
+}
+
+/// Per-node NIC, host-ledger and registration-cache counters, named
+/// "node<id>.<layer>.<counter>".
+inline void expose_node_metrics(trace::MetricsRegistry& m, Node& n) {
+  const std::string pre = "node" + std::to_string(n.id()) + ".";
+  const Nic::Stats& ns = n.nic().stats();
+  m.expose(pre + "nic.tx_packets", &ns.tx_packets);
+  m.expose(pre + "nic.rx_packets", &ns.rx_packets);
+  m.expose(pre + "nic.crc_dropped", &ns.crc_dropped);
+  m.expose(pre + "nic.retransmissions", &ns.retransmissions);
+  m.expose(pre + "nic.acks_sent", &ns.acks_sent);
+  m.expose(pre + "nic.seq_dropped", &ns.seq_dropped);
+  m.expose(pre + "nic.coll_rx_packets", &ns.coll_rx_packets);
+  m.expose(pre + "nic.coll_combines", &ns.coll_combines);
+  m.expose(pre + "nic.coll_forwards", &ns.coll_forwards);
+  m.expose(pre + "nic.coll_completions", &ns.coll_completions);
+  m.expose(pre + "nic.coll_orphaned", &ns.coll_orphaned);
+  m.expose(pre + "nic.coll_stale", &ns.coll_stale);
+  const sim::CostLedger& hl = n.host().ledger();
+  m.expose(pre + "host.copies", hl.copies_cell());
+  m.expose(pre + "host.copied_bytes", hl.copied_bytes_cell());
+  m.expose(pre + "host.pool_misses", hl.allocs_cell());
+  m.expose(pre + "host.pool_miss_bytes", hl.alloc_bytes_cell());
+  const RegCache::Stats& rs = n.host().reg_cache().stats();
+  m.expose(pre + "regcache.hits", &rs.hits);
+  m.expose(pre + "regcache.misses", &rs.misses);
+  m.expose(pre + "regcache.evictions", &rs.evictions);
+  m.expose(pre + "regcache.coalesces", &rs.coalesces);
+  m.expose(pre + "regcache.pinned_bytes", &rs.pinned_bytes);
+}
+
 class Cluster {
  public:
   Cluster(sim::Engine& eng, const ClusterParams& p)
@@ -44,7 +92,10 @@ class Cluster {
     for (int i = 0; i < p.n_hosts; ++i) {
       nodes_.push_back(std::make_unique<Node>(eng, i, p, fabric_));
     }
-    expose_metrics();
+    expose_fabric_metrics(fabric_.tracer().metrics(), fabric_);
+    for (const auto& n : nodes_) {
+      expose_node_metrics(fabric_.tracer().metrics(), *n);
+    }
   }
 
   sim::Engine& engine() noexcept { return eng_; }
@@ -54,53 +105,6 @@ class Cluster {
   const ClusterParams& params() const noexcept { return params_; }
 
  private:
-  // Bind the live hardware counters (fabric, pool, per-node NIC and host
-  // ledger) into the tracer's metrics registry so tests and benches can
-  // query them by name. Views only — the hot paths keep bumping the same
-  // plain fields they always did.
-  void expose_metrics() {
-    trace::MetricsRegistry& m = fabric_.tracer().metrics();
-    const Fabric::Stats& fs = fabric_.stats();
-    m.expose("fabric.packets", &fs.packets);
-    m.expose("fabric.payload_bytes", &fs.payload_bytes);
-    m.expose("fabric.corrupted", &fs.corrupted);
-    m.expose("fabric.dropped", &fs.dropped);
-    m.expose("fabric.duplicated", &fs.duplicated);
-    m.expose("fabric.delayed", &fs.delayed);
-    const BufferPool::Stats& ps = fabric_.pool().stats();
-    m.expose("pool.acquires", &ps.acquires);
-    m.expose("pool.hits", &ps.pool_hits);
-    m.expose("pool.misses", &ps.fresh_allocs);
-    m.expose("pool.releases", &ps.releases);
-    for (const auto& n : nodes_) {
-      const std::string pre = "node" + std::to_string(n->id()) + ".";
-      const Nic::Stats& ns = n->nic().stats();
-      m.expose(pre + "nic.tx_packets", &ns.tx_packets);
-      m.expose(pre + "nic.rx_packets", &ns.rx_packets);
-      m.expose(pre + "nic.crc_dropped", &ns.crc_dropped);
-      m.expose(pre + "nic.retransmissions", &ns.retransmissions);
-      m.expose(pre + "nic.acks_sent", &ns.acks_sent);
-      m.expose(pre + "nic.seq_dropped", &ns.seq_dropped);
-      m.expose(pre + "nic.coll_rx_packets", &ns.coll_rx_packets);
-      m.expose(pre + "nic.coll_combines", &ns.coll_combines);
-      m.expose(pre + "nic.coll_forwards", &ns.coll_forwards);
-      m.expose(pre + "nic.coll_completions", &ns.coll_completions);
-      m.expose(pre + "nic.coll_orphaned", &ns.coll_orphaned);
-      m.expose(pre + "nic.coll_stale", &ns.coll_stale);
-      const sim::CostLedger& hl = n->host().ledger();
-      m.expose(pre + "host.copies", hl.copies_cell());
-      m.expose(pre + "host.copied_bytes", hl.copied_bytes_cell());
-      m.expose(pre + "host.pool_misses", hl.allocs_cell());
-      m.expose(pre + "host.pool_miss_bytes", hl.alloc_bytes_cell());
-      const RegCache::Stats& rs = n->host().reg_cache().stats();
-      m.expose(pre + "regcache.hits", &rs.hits);
-      m.expose(pre + "regcache.misses", &rs.misses);
-      m.expose(pre + "regcache.evictions", &rs.evictions);
-      m.expose(pre + "regcache.coalesces", &rs.coalesces);
-      m.expose(pre + "regcache.pinned_bytes", &rs.pinned_bytes);
-    }
-  }
-
   sim::Engine& eng_;
   ClusterParams params_;
   Fabric fabric_;

@@ -133,8 +133,8 @@ class Engine {
   /// Pre-size the event heap and callback-slot tables for a peak of
   /// `events` simultaneously scheduled events. The defaults suit a serial
   /// engine, where queue depth tracks the workload's natural concurrency;
-  /// a parallel-run shard can receive an entire cross-ring drain batch in
-  /// one burst (ParallelCluster calls this with its ring bounds) and the
+  /// a parallel-run shard can receive an entire mailbox drain batch in
+  /// one burst (ParallelCluster calls this with its mailbox bounds) and the
   /// burst depth depends on wall-clock thread skew — growth mid-run would
   /// be a timing-dependent allocation in an otherwise allocation-free
   /// steady state.

@@ -1,7 +1,9 @@
 #include "sim/parallel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstring>
 #include <limits>
 
 namespace fmx::sim {
@@ -13,6 +15,13 @@ constexpr Ps sat_add(Ps a, Ps b) noexcept {
   return a > kNever - b ? kNever : a + b;
 }
 
+// Mailbox message framing: this header, then the body.
+struct MailHeader {
+  Ps head;
+  std::uint64_t key;
+  std::uint64_t bytes;
+};
+
 // Full fast passes over the owned shards before backing off. A pass is
 // already substantial work (k-1 horizon loads + ring probes per shard), so
 // the pure-spin budget is small; yields keep oversubscribed runs (more
@@ -23,14 +32,29 @@ constexpr auto kParkTimeout = std::chrono::microseconds(100);
 
 }  // namespace
 
-ParallelEngine::ParallelEngine(int n_shards, Ps lookahead)
+ParallelEngine::Mailbox::Mailbox() : ring(kMailboxSlots, kMailboxSlotBytes) {
+  // Half the ring depth again in spill buffers: a consumer preempted on a
+  // loaded box can leave the ring full plus this many slots spilled
+  // before the overflow path has to touch the allocator.
+  pool.reserve(4 * kMailboxSlots);
+  spill.reserve(4 * kMailboxSlots);
+  drained.reserve(4 * kMailboxSlots);
+  for (std::size_t i = 0; i < kMailboxSlots / 2; ++i) {
+    pool.emplace_back(kMailboxSlotBytes);
+  }
+}
+
+ParallelEngine::ParallelEngine(int n_shards, Ps lookahead,
+                               Transport transport)
     : ParallelEngine(n_shards,
                      std::vector<Ps>(
                          static_cast<std::size_t>(n_shards) * n_shards,
-                         lookahead)) {}
+                         lookahead),
+                     std::move(transport)) {}
 
-ParallelEngine::ParallelEngine(int n_shards, std::vector<Ps> lookahead)
-    : lookahead_(std::move(lookahead)) {
+ParallelEngine::ParallelEngine(int n_shards, std::vector<Ps> lookahead,
+                               Transport transport)
+    : lookahead_(std::move(lookahead)), transport_(std::move(transport)) {
   assert(n_shards >= 1);
   assert(lookahead_.size() ==
          static_cast<std::size_t>(n_shards) * n_shards);
@@ -47,24 +71,21 @@ ParallelEngine::ParallelEngine(int n_shards, std::vector<Ps> lookahead)
       }
     }
   }
-  min_lookahead_ = kNever;
   for (std::size_t a = 0; a < k; ++a) {
     for (std::size_t b = 0; b < k; ++b) {
-      if (a != b && lookahead_[a * k + b] < min_lookahead_) {
-        min_lookahead_ = lookahead_[a * k + b];
-      }
+      assert((a == b || lookahead_[a * k + b] >= 1) &&
+             "zero lookahead cannot make progress");
     }
   }
-  if (n_shards == 1) min_lookahead_ = 1;
-  assert(min_lookahead_ >= 1 && "zero lookahead cannot make progress");
 
   shards_.reserve(k);
-  for (int i = 0; i < n_shards; ++i) {
+  mail_.resize(k * k);
+  for (std::size_t s = 0; s < k; ++s) {
     shards_.push_back(std::make_unique<Engine>());
+    for (std::size_t d = 0; d < k; ++d) {
+      if (d != s) mail_[s * k + d] = std::make_unique<Mailbox>();
+    }
   }
-  drains_.resize(k);
-  emission_bounds_.resize(k);
-  inbox_empty_.resize(k);
 
   // One cache line holds 8 Ps atomics; pad rows so each shard's row (its
   // only cross-thread write target) never shares a line with another's.
@@ -84,17 +105,39 @@ ParallelEngine::ParallelEngine(int n_shards, std::vector<Ps> lookahead)
 
 ParallelEngine::~ParallelEngine() { stop_pool(); }
 
-void ParallelEngine::set_drain(int shard, std::function<void()> fn) {
-  drains_[shard] = std::move(fn);
-}
-
-void ParallelEngine::set_emission_bound(int shard,
-                                        std::function<void(Ps, Ps*)> fn) {
-  emission_bounds_[shard] = std::move(fn);
-}
-
-void ParallelEngine::set_inbox_empty(int shard, std::function<bool()> fn) {
-  inbox_empty_[shard] = std::move(fn);
+// Commit before note_emission: the bucket must never cover a message the
+// destination cannot yet see.
+void ParallelEngine::post_bytes(int src, int dst, Ps head, std::uint64_t key,
+                                std::size_t bytes, void* fill,
+                                void (*fill_fn)(void*, std::byte*)) {
+  assert(transport_.deliver && "post() needs a Transport");
+  Mailbox& mb = mailbox(src, dst);
+  const MailHeader h{head, key, bytes};
+  const std::size_t need = sizeof(h) + bytes;
+  std::byte* slot =
+      need <= mb.ring.slot_bytes() ? mb.ring.try_push_slot() : nullptr;
+  if (slot != nullptr) {
+    std::memcpy(slot, &h, sizeof(h));
+    fill_fn(fill, slot + sizeof(h));
+    mb.ring.commit_push();
+  } else {
+    std::vector<std::byte> buf;
+    {
+      std::lock_guard<std::mutex> lock(mb.mu);
+      if (!mb.pool.empty()) {
+        buf = std::move(mb.pool.back());
+        mb.pool.pop_back();
+      }
+    }
+    if (buf.size() < need) buf.resize(need);
+    std::memcpy(buf.data(), &h, sizeof(h));
+    fill_fn(fill, buf.data() + sizeof(h));
+    std::lock_guard<std::mutex> lock(mb.mu);
+    mb.spill.push_back(std::move(buf));
+    mb.spilled.store(static_cast<std::uint32_t>(mb.spill.size()),
+                     std::memory_order_release);
+  }
+  note_emission(src, dst, head);
 }
 
 void ParallelEngine::note_emission(int src, int dst, Ps head) {
@@ -115,8 +158,42 @@ void ParallelEngine::note_emission(int src, int dst, Ps head) {
   if (echo < live_cap_[src].v) live_cap_[src].v = echo;
 }
 
-void ParallelEngine::note_drained(int dst, int src, std::uint64_t n) {
-  staged_[static_cast<std::size_t>(dst) * n_shards() + src] += n;
+void ParallelEngine::deliver(int dst, const std::byte* msg) {
+  MailHeader h;
+  std::memcpy(&h, msg, sizeof(h));
+  transport_.deliver(dst, h.head, h.key,
+                     std::span<const std::byte>(msg + sizeof(h), h.bytes));
+}
+
+// Hand every message posted to `dst` to the transport and stage the drained
+// counts; advance() republishes them once dst's horizon covers them.
+void ParallelEngine::drain(int dst) {
+  const int k = n_shards();
+  for (int src = 0; src < k; ++src) {
+    if (src == dst) continue;
+    Mailbox& mb = mailbox(src, dst);
+    std::uint64_t n = 0;
+    while (const std::byte* slot = mb.ring.front()) {
+      deliver(dst, slot);
+      mb.ring.pop();
+      ++n;
+    }
+    if (mb.spilled.load(std::memory_order_acquire) != 0) {
+      {
+        std::lock_guard<std::mutex> lock(mb.mu);
+        mb.drained.swap(mb.spill);
+        mb.spilled.store(0, std::memory_order_release);
+      }
+      for (const auto& buf : mb.drained) deliver(dst, buf.data());
+      n += mb.drained.size();
+      {
+        std::lock_guard<std::mutex> lock(mb.mu);
+        for (auto& buf : mb.drained) mb.pool.push_back(std::move(buf));
+      }
+      mb.drained.clear();
+    }
+    staged_[static_cast<std::size_t>(dst) * k + src] += n;
+  }
 }
 
 // Recompute and publish shard s's horizon row from its post-quantum state.
@@ -129,11 +206,11 @@ void ParallelEngine::publish(int s, int w, bool* changed) {
   const int k = n_shards();
   Ps* out = scratch_[w].data();
   const Ps e = shards_[s]->next_event_time();
-  if (emission_bounds_[s]) {
-    emission_bounds_[s](e, out);
-  } else {
-    const Ps* row = &lookahead_[static_cast<std::size_t>(s) * k];
-    for (int d = 0; d < k; ++d) out[d] = sat_add(e, row[d]);
+  const Ps* row = &lookahead_[static_cast<std::size_t>(s) * k];
+  for (int d = 0; d < k; ++d) out[d] = sat_add(e, row[d]);
+  if (transport_.emission_bound) {
+    transport_.emission_bound(s, e, out);
+    for (int d = 0; d < k; ++d) out[d] = std::max(out[d], sat_add(e, row[d]));
   }
   // Fold open in-flight buckets as relay terms: a message already emitted
   // to B can wake an otherwise-idle B into emitting toward d no earlier
@@ -165,11 +242,11 @@ void ParallelEngine::publish(int s, int w, bool* changed) {
 }
 
 // One advance quantum for shard s. The order is load-bearing: peers'
-// horizons are loaded (acquire) *before* the drain, and producers commit
-// ring slots *before* republishing (release), so any message invisible to
-// this drain was emitted by an event at or after the next-event time its
-// producer's visible promise was derived from — i.e. its head is >= the
-// bound we run to.
+// horizons are loaded (acquire) *before* the drain, and post() commits
+// mailbox slots *before* the producer republishes (release), so any
+// message invisible to this drain was emitted by an event at or after the
+// next-event time its producer's visible promise was derived from — i.e.
+// its head is >= the bound we run to.
 bool ParallelEngine::advance(int s, int w, std::uint64_t& events,
                              std::uint64_t& quanta) {
   const int k = n_shards();
@@ -211,21 +288,15 @@ bool ParallelEngine::advance(int s, int w, std::uint64_t& events,
       if (echo < bound) bound = echo;
     }
   }
-  if (drains_[s]) drains_[s]();
+  drain(s);
 
   Engine& eng = *shards_[s];
   std::uint64_t n = 0;
-  const Ps e = eng.next_event_time();
-  if (e < bound) {
-    Ps cap = bound;
-    if (!batching_) {
-      const Ps chop = sat_add(e, min_lookahead_);
-      if (chop < cap) cap = chop;
-    }
-    // The live cap drops mid-quantum when this shard emits
-    // (note_emission): events past an emission's echo bound must wait for
-    // the next quantum, after the destination has had a chance to react.
-    live_cap_[s].v = cap;
+  if (eng.next_event_time() < bound) {
+    // The live cap drops mid-quantum when this shard emits (post()):
+    // events past an emission's echo bound must wait for the next quantum,
+    // after the destination has had a chance to react.
+    live_cap_[s].v = bound;
     n = eng.run_below(&live_cap_[s].v);
     events += n;
     if (n > 0) ++quanta;
@@ -257,9 +328,14 @@ bool ParallelEngine::advance(int s, int w, std::uint64_t& events,
 // foreign engine state are race-free (and TSan-visibly so, through the
 // mutex).
 bool ParallelEngine::quiescent() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s]->idle()) return false;
-    if (inbox_empty_[s] && !inbox_empty_[s]()) return false;
+  for (const auto& e : shards_) {
+    if (!e->idle()) return false;
+  }
+  for (const auto& mb : mail_) {
+    if (mb && (!mb->ring.empty() ||
+               mb->spilled.load(std::memory_order_acquire) != 0)) {
+      return false;
+    }
   }
   return true;
 }
@@ -298,7 +374,7 @@ void ParallelEngine::worker_body(int w) {
       }
       // Either way wake everyone: on done to exit, otherwise to retry —
       // a failed sweep means some shard can progress (the global-minimum
-      // event is always below its owner's bound) or a ring still holds
+      // event is always below its owner's bound) or a mailbox still holds
       // messages for someone's next drain.
       idle_cv_.notify_all();
     } else {
@@ -362,16 +438,14 @@ ParallelEngine::RunResult ParallelEngine::run(int n_threads) {
   idle_approx_.store(0, std::memory_order_relaxed);
   idle_count_ = 0;
 
-  // Serial prologue: fold anything already in the inbound rings into engine
-  // events (rings are empty after a completed run, but callers may stage
-  // work between runs), flush the drained counts and retire every coverable
+  // Serial prologue: fold anything already in the mailboxes into engine
+  // events (they are empty after a completed run, but setup code may post
+  // between runs), flush the drained counts and retire every coverable
   // in-flight bucket (safe before the publishes below: nothing runs an
   // event until the workers start, which orders the whole prologue), then
   // publish every shard's initial horizon so no worker ever reads the
   // zero-initialized matrix.
-  for (int s = 0; s < k; ++s) {
-    if (drains_[s]) drains_[s]();
-  }
+  for (int s = 0; s < k; ++s) drain(s);
   for (int d = 0; d < k; ++d) {
     for (int a = 0; a < k; ++a) {
       if (a == d) continue;

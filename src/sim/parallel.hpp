@@ -13,77 +13,121 @@
 //     loosely even when busy.
 //   - Each shard continuously publishes, per destination, a conservative
 //     lower bound on the head-arrival time of any cross-shard message it
-//     may still emit. The default bound is next_event_time() + L[s][d]; an
-//     emission-bound hook lets the transport sharpen it with dynamic state
-//     (for the Myrinet fabric: the source uplink's next-free time, which
-//     during streaming sits many microseconds ahead — see
+//     may still emit. The static bound is next_event_time() + L[s][d]; the
+//     client's Transport may sharpen it with dynamic state (for the
+//     Myrinet fabric: the source uplink's next-free time, which during
+//     streaming sits many microseconds ahead — see
 //     myrinet/parallel_cluster.cpp).
 //   - A worker advances a shard by (1) reading every peer's published
 //     bound for it (padded atomics, acquire) and taking the min, (2)
-//     draining its inbound rings, (3) running events strictly below the
-//     bound in one batched quantum, (4) republishing its own row
-//     (release). No barrier on the hot path; idle gaps are crossed in the
-//     same step because bounds are absolute times, not widths.
+//     draining its inbound mailboxes, (3) running events strictly below
+//     the bound in one quantum, (4) republishing its own row (release). No
+//     barrier on the hot path; idle gaps are crossed in the same step
+//     because bounds are absolute times, not widths.
+//
+// Cross-shard messages travel through mailboxes the engine owns, one per
+// ordered shard pair: post() is the only way to emit, and the engine
+// itself drains, counts, and checks them for emptiness, so no client can
+// leave a message stranded or a bucket unretired. The Transport handed to
+// the constructor only turns drained bytes back into events (deliver)
+// and, optionally, sharpens the emission bound.
 //
 // Soundness (why no in-flight message can be missed): three mechanisms
 // cover the three ways a message can be in flight. (a) Direct: a worker
-// loads pub[A][s] *before* draining, and a producer commits a ring slot
-// *before* republishing, so any message invisible to the drain was
-// emitted by an event A executed after its publish; engines execute
+// loads pub[A][s] *before* draining, and post() commits a mailbox slot
+// *before* its emitter republishes, so any message invisible to the drain
+// was emitted by an event A executed after its publish; engines execute
 // events in nondecreasing time order, so its head is >= the published
-// bound. (b) Relays: a message X -> Y sitting undrained in Y's ring can
+// bound. (b) Relays: a message X -> Y sitting undrained in Y's mailbox can
 // wake an idle Y into emitting toward s below Y's (stale) promise. The
-// emitter therefore tracks an *in-flight bucket* per destination
-// (note_emission) and folds `bucket min head + L[Y][d]` into every entry
-// of its own published row until Y's covering publish retires the bucket
-// (per-pair covered counters, note_drained); L is metric-closed, so the
-// relay term through Y is never below the true relayed arrival. (c)
-// Self-echo: nothing publishes a promise *to s about s*, so s caps its
-// own bound by its open buckets' echo terms (head + L[dst][s]) and
-// lowers a live cap mid-quantum when it emits — a message s sends can
-// wake a peer whose reply must not land inside s's already-running
-// quantum. The full induction is written out in EXPERIMENTS.md
-// ("Parallel simulation").
+// emitter therefore tracks an *in-flight bucket* per destination (opened
+// by post()) and folds `bucket min head + L[Y][d]` into every entry of
+// its own published row until Y's covering publish retires the bucket
+// (per-pair covered counters, advanced by Y's drains); L is
+// metric-closed, so the relay term through Y is never below the true
+// relayed arrival. (c) Self-echo: nothing publishes a promise *to s about
+// s*, so s caps its own bound by its open buckets' echo terms (head +
+// L[dst][s]) and lowers a live cap mid-quantum when it emits — a message
+// s sends can wake a peer whose reply must not land inside s's
+// already-running quantum. The full induction is written out in
+// EXPERIMENTS.md ("Parallel simulation").
 //
 // Progress: the shard owning the globally minimal event m always has
 // bound >= m + min L > m, so a full pass over all shards either executes
 // at least one event or proves global quiescence. Stalled workers spin,
 // then yield, then park on a condvar; the last parker performs an
-// exclusive termination sweep (all engines idle, all inboxes empty).
+// exclusive termination sweep (all engines idle, all mailboxes empty).
 //
 // Determinism: cross-shard events order by explicit keys in a sequence
 // band above all local events (Engine::kCrossSeqBand), so per-shard pop
 // order is a pure function of simulated state — never of quantum
-// boundaries or drain timing — and every simulated result is bit-identical
-// at any thread count, including 1. Only the *meters* (windows,
-// barrier_crossings) depend on scheduling.
+// boundaries or drain timing — and every simulated result is
+// bit-identical at any thread count, including 1, for a fixed shard
+// count. Only the *meters* (windows, barrier_crossings) depend on
+// scheduling.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/spsc.hpp"
 #include "sim/time.hpp"
 
 namespace fmx::sim {
 
 class ParallelEngine {
  public:
+  /// The client's side of cross-shard messaging.
+  struct Transport {
+    /// Turns one drained message into events on shard(dst), normally one
+    /// Engine::schedule_cross(head, key, ...). Runs on dst's owning worker
+    /// while the engine drains dst's mailboxes; `body` is valid only for
+    /// the duration of the call.
+    std::function<void(int dst, Ps head, std::uint64_t key,
+                       std::span<const std::byte> body)>
+        deliver;
+    /// Optional sharpened emission bound for `shard` given its next-event
+    /// time e. out[d] arrives holding the saturated static bound
+    /// e + lookahead(shard, d), and the engine publishes no less than
+    /// that whatever the transport writes, so a transport can only raise
+    /// it. A raised entry must still lower-bound the head-arrival time of
+    /// anything the shard can emit toward d, assuming no local event runs
+    /// before e, and must be monotone in e and satisfy out[d] <= out[x] +
+    /// lookahead(x, d) (automatic for `min over sources of (per-source
+    /// base + closed per-pair latency)`). Runs on the shard's owning
+    /// worker only.
+    std::function<void(int shard, Ps e, Ps* out)> emission_bound;
+  };
+
+  /// Ring slots per ordered shard pair, and bytes per slot with the
+  /// engine's message framing included. A slot fits the Myrinet cluster's
+  /// largest packet (1 KB MTU payload plus its cross-shard header) with
+  /// room to spare; bigger messages, and posts to a full ring, take the
+  /// overflow list, so the slot size is a fast-path size, not a limit.
+  static constexpr std::size_t kMailboxSlots = 256;
+  static constexpr std::size_t kMailboxSlotBytes = 1352;
+
   /// Uniform lookahead: every shard pair is `lookahead` (>= 1 ps) apart.
-  ParallelEngine(int n_shards, Ps lookahead);
+  /// An engine whose shards never exchange messages may pass `{}` as the
+  /// transport.
+  ParallelEngine(int n_shards, Ps lookahead, Transport transport);
   /// Per-pair lookahead matrix, row-major `n_shards * n_shards`;
   /// entry [src * n_shards + dst] bounds the propagation src -> dst
   /// (diagonal ignored). The matrix is metric-closed internally
   /// (L[a][c] <= L[a][b] + L[b][c] afterwards) — a requirement of the
   /// soundness argument above, and never a loosening: a relay chain is a
   /// real propagation path, so the direct bound may not exceed it.
-  ParallelEngine(int n_shards, std::vector<Ps> lookahead);
+  ParallelEngine(int n_shards, std::vector<Ps> lookahead,
+                 Transport transport);
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
   ~ParallelEngine();
@@ -93,31 +137,22 @@ class ParallelEngine {
   Ps lookahead(int src, int dst) const {
     return lookahead_[static_cast<std::size_t>(src) * shards_.size() + dst];
   }
-  /// Minimum off-diagonal lookahead (the unbatched quantum width).
-  Ps min_lookahead() const noexcept { return min_lookahead_; }
   Engine& shard(int i) { return *shards_[i]; }
   const Engine& shard(int i) const { return *shards_[i]; }
 
-  /// Install the per-shard drain hook, invoked on the shard's owning worker
-  /// before every quantum. It must convert every message published to this
-  /// shard into engine events via Engine::schedule_cross.
-  void set_drain(int shard, std::function<void()> fn);
-
-  /// Install a sharpened emission bound for `shard`: called with the
-  /// shard's next-event time e, it must fill out[d] (d in [0, n_shards))
-  /// with an absolute lower bound on the head-arrival time of any
-  /// cross-shard message the shard can still emit toward d, assuming no
-  /// local event runs before e. The hook must be monotone in e, must not
-  /// return less than e + lookahead(shard, d), and must satisfy the
-  /// triangle property out[d] <= out[x] + lookahead(x, d) (automatic when
-  /// it is `min over sources of (per-source base + closed per-pair
-  /// latency)`). Runs on the shard's owning worker only.
-  void set_emission_bound(int shard, std::function<void(Ps, Ps*)> fn);
-
-  /// Install the inbox-emptiness predicate used by the termination sweep
-  /// (may be called from any worker while all others are parked). Default:
-  /// always empty.
-  void set_inbox_empty(int shard, std::function<bool()> fn);
+  /// Emit a cross-shard message src -> dst whose head reaches dst at
+  /// `head` (at least lookahead(src, dst) past src's clock), with the
+  /// deterministic tie-break `key` its delivery is scheduled under.
+  /// `fill(std::byte*)` writes exactly `bytes` body bytes. Call only from
+  /// an event running on src's owning worker; the message reaches
+  /// Transport::deliver on dst before any event at or past `head` runs
+  /// there.
+  template <typename Fill>
+  void post(int src, int dst, Ps head, std::uint64_t key, std::size_t bytes,
+            Fill fill) {
+    post_bytes(src, dst, head, key, bytes, &fill,
+               [](void* f, std::byte* out) { (*static_cast<Fill*>(f))(out); });
+  }
 
   /// Declare a lower bound on how long `shard` takes to *react* to an
   /// inbound cross-shard message with a cross-shard emission of its own
@@ -131,31 +166,6 @@ class ParallelEngine {
   /// lookahead would.
   void set_reaction_gap(int shard, Ps gap) { reaction_gap_[shard] = gap; }
   Ps reaction_gap(int shard) const { return reaction_gap_[shard]; }
-
-  /// Record a cross-shard emission src -> dst whose head-arrival time is
-  /// `head`. Must be called on src's owning worker, inside the event that
-  /// pushes the message (after the ring commit). Required for soundness
-  /// whenever a peer can react to this shard's traffic within the same
-  /// run: the emission opens an in-flight bucket that caps the emitter's
-  /// own horizon (self-echo, including the quantum in progress) and is
-  /// folded into its published row (relay coverage) until the
-  /// destination's covering publish retires it — see note_drained.
-  void note_emission(int src, int dst, Ps head);
-
-  /// Record, from inside dst's drain hook, that `n` more messages from
-  /// `src` were converted into engine events. The cumulative count is
-  /// republished to the emitter — retiring its in-flight bucket — only
-  /// after dst's next horizon publish, which by then covers everything
-  /// those messages can trigger.
-  void note_drained(int dst, int src, std::uint64_t n);
-
-  /// Window batching (default on) runs each quantum all the way to the
-  /// conservative bound. Off chops quanta to min_lookahead() widths like
-  /// the historical barrier scheme — same simulated results by the
-  /// determinism invariant, just more synchronization; kept as a
-  /// cross-check knob for tests.
-  void set_window_batching(bool on) noexcept { batching_ = on; }
-  bool window_batching() const noexcept { return batching_; }
 
   struct RunResult {
     std::uint64_t events = 0;  ///< events processed across all shards
@@ -179,6 +189,37 @@ class ParallelEngine {
   RunResult run(int n_threads);
 
  private:
+  // One mailbox per ordered shard pair. A full ring or an oversized body
+  // falls back to a mutex-guarded spill list; order between ring and
+  // spill is irrelevant because deliveries sort by their keys, not by
+  // drain order. Spill buffers cycle through a pre-warmed pool (and the
+  // list vectors themselves keep their capacity across swaps), so the
+  // overflow path stays allocation-free in steady state — a quantum
+  // legitimately lets a producer run hundreds of emissions ahead of a
+  // drain.
+  struct Mailbox {
+    Mailbox();
+    SpscSlotRing ring;
+    std::mutex mu;
+    std::vector<std::vector<std::byte>> spill;  // guarded by mu
+    std::vector<std::vector<std::byte>> pool;   // guarded by mu
+    // Consumer-side scratch, touched only by the destination's owner.
+    std::vector<std::vector<std::byte>> drained;
+    std::atomic<std::uint32_t> spilled{0};
+  };
+  Mailbox& mailbox(int src, int dst) {
+    return *mail_[static_cast<std::size_t>(src) * shards_.size() + dst];
+  }
+
+  void post_bytes(int src, int dst, Ps head, std::uint64_t key,
+                  std::size_t bytes, void* fill,
+                  void (*fill_fn)(void*, std::byte*));
+  // Open (or extend) the src -> dst in-flight bucket for a message whose
+  // head arrives at `head`, and shorten src's running quantum to the
+  // message's echo bound.
+  void note_emission(int src, int dst, Ps head);
+  void deliver(int dst, const std::byte* msg);
+  void drain(int dst);
   void worker_body(int w);
   bool advance(int s, int w, std::uint64_t& events, std::uint64_t& quanta);
   void publish(int s, int w, bool* changed);
@@ -188,12 +229,9 @@ class ParallelEngine {
 
   std::vector<Ps> lookahead_;  // metric-closed, row-major k*k
   std::vector<Ps> reaction_gap_;  // per-shard, see set_reaction_gap
-  Ps min_lookahead_ = 0;
   std::vector<std::unique_ptr<Engine>> shards_;
-  std::vector<std::function<void()>> drains_;
-  std::vector<std::function<void(Ps, Ps*)>> emission_bounds_;
-  std::vector<std::function<bool()>> inbox_empty_;
-  bool batching_ = true;
+  Transport transport_;
+  std::vector<std::unique_ptr<Mailbox>> mail_;  // [src * k + dst], no diagonal
 
   // Published horizons: row s (written only by s's owner) holds pub[s][d]
   // for every destination d. Rows are padded to cache-line multiples so
@@ -226,8 +264,8 @@ class ParallelEngine {
     return covered_[static_cast<std::size_t>(dst) * pub_stride_ + src];
   }
   // Per-shard live quantum cap, written only by the owning worker;
-  // Engine::run_below rereads it every event so note_emission can shorten
-  // the quantum in progress.
+  // Engine::run_below rereads it every event so post() can shorten the
+  // quantum in progress.
   struct alignas(64) LiveCap {
     Ps v = 0;
   };

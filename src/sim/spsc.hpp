@@ -1,6 +1,5 @@
-// Bounded single-producer/single-consumer ring of fixed-size slots, used to
-// move cross-shard messages between worker threads in parallel runs
-// (sim/parallel.hpp, myrinet/parallel_cluster.hpp).
+// Bounded single-producer/single-consumer ring of fixed-size slots: the
+// fast path of ParallelEngine's cross-shard mailboxes (sim/parallel.hpp).
 //
 // The design deliberately avoids any ordering burden: cross-shard events
 // carry explicit tie-break keys (Engine::schedule_cross), so the consumer

@@ -50,12 +50,10 @@ constexpr std::size_t kSizes[] = {17, 256, 1024, 2048};
 constexpr std::size_t kMaxSize = 2048;
 
 std::uint64_t run_workload(int threads, bool lossy,
-                           std::uint64_t* trace_digest = nullptr,
-                           bool batching = true) {
+                           std::uint64_t* trace_digest = nullptr) {
   auto params = net::ppro_fm2_cluster(kNodes);
   if (lossy) params.nic.reliable_link = true;
   net::ParallelCluster cl(params);
-  cl.par().set_window_batching(batching);
   std::vector<std::unique_ptr<fault::PlanInjector>> injectors;
   if (lossy) {
     injectors = fault::arm(cl, fault::FaultPlan::lossy(0.03, kSeed));
@@ -376,18 +374,6 @@ TEST(ParallelDeterminism, GoldenTraceBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t2, t1);
   EXPECT_EQ(t4, t1);
   EXPECT_NE(t1, Digest{}.h) << "trace digest must cover events";
-}
-
-// Window batching is a pure scheduling optimisation: with it off, quanta
-// are chopped to the minimum pairwise lookahead like the historical
-// barrier scheme, yet every simulated result must stay bit-identical —
-// at 1 thread (pure chopping) and with real concurrency.
-TEST(ParallelDeterminism, BatchingOnVsOffBitIdentical) {
-  const std::uint64_t on = run_workload(1, false);
-  EXPECT_EQ(run_workload(1, false, nullptr, false), on);
-  EXPECT_EQ(run_workload(4, false, nullptr, false), on);
-  const std::uint64_t lossy_on = run_workload(1, true);
-  EXPECT_EQ(run_workload(2, true, nullptr, false), lossy_on);
 }
 
 TEST(ParallelDeterminism, MatchesPinnedValues) {

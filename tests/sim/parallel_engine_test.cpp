@@ -1,12 +1,14 @@
 // ParallelEngine in isolation: two shards exchanging timed messages through
-// SpscSlotRings, exactly the machinery the sharded cluster uses, with the
-// cross-band ordering rule checked directly against the scheduler contract.
+// the engine's own mailboxes (post() + Transport::deliver), exactly the
+// path the sharded cluster uses, with the cross-band ordering rule checked
+// directly against the scheduler contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -16,12 +18,6 @@
 namespace fmx::sim {
 namespace {
 
-struct Msg {
-  Ps at;
-  std::uint64_t key;
-  std::uint64_t val;
-};
-
 // A ping-pong generator: shard 0 emits values to shard 1 and vice versa,
 // each arrival scheduling the next send one lookahead later, recording
 // (shard, time, value) into per-shard logs.
@@ -29,41 +25,28 @@ struct Harness {
   static constexpr Ps kLookahead = 100;
   static constexpr int kRounds = 50;
 
-  ParallelEngine par{2, kLookahead};
-  SpscSlotRing ring01{8, sizeof(Msg)};  // shard 0 -> shard 1
-  SpscSlotRing ring10{8, sizeof(Msg)};
+  ParallelEngine par{2, kLookahead, transport()};
   std::vector<std::uint64_t> log[2];
-  std::uint64_t key[2] = {0, 0};
+  std::uint64_t next_key[2] = {0, 0};
 
-  void send(int from, Ps at, std::uint64_t val) {
-    SpscSlotRing& r = from == 0 ? ring01 : ring10;
-    Msg m{at, key[from]++, val};
-    std::byte* slot = r.try_push_slot();
-    ASSERT_NE(slot, nullptr);
-    std::memcpy(slot, &m, sizeof(m));
-    r.commit_push();
-    // The other shard reacts to every arrival, so the scheduler must learn
-    // about each in-flight message (self-echo / relay coverage).
-    par.note_emission(from, 1 - from, at);
+  ParallelEngine::Transport transport() {
+    ParallelEngine::Transport t;
+    t.deliver = [this](int dst, Ps head, std::uint64_t key,
+                       std::span<const std::byte> body) {
+      std::uint64_t val;
+      std::memcpy(&val, body.data(), sizeof(val));
+      par.shard(dst).schedule_cross(head, key, [this, dst, val] {
+        Engine& e = par.shard(dst);
+        log[dst].push_back((e.now() << 16) | val);
+        if (val < kRounds) send(dst, e.now() + kLookahead, val + 1);
+      });
+    };
+    return t;
   }
 
-  void drain(int shard) {
-    SpscSlotRing& r = shard == 0 ? ring10 : ring01;
-    std::uint64_t n = 0;
-    while (const std::byte* slot = r.front()) {
-      Msg m;
-      std::memcpy(&m, slot, sizeof(m));
-      r.pop();
-      ++n;
-      par.shard(shard).schedule_cross(m.at, m.key, [this, shard, m] {
-        Engine& e = par.shard(shard);
-        log[shard].push_back((e.now() << 16) | m.val);
-        if (m.val < kRounds) {
-          send(shard, e.now() + kLookahead, m.val + 1);
-        }
-      });
-    }
-    if (n != 0) par.note_drained(shard, 1 - shard, n);
+  void send(int from, Ps at, std::uint64_t val) {
+    par.post(from, 1 - from, at, next_key[from]++, sizeof(val),
+             [val](std::byte* out) { std::memcpy(out, &val, sizeof(val)); });
   }
 
   struct RunStats {
@@ -73,14 +56,8 @@ struct Harness {
   };
 
   RunStats run(int threads) {
-    par.set_drain(0, [this] { drain(0); });
-    par.set_drain(1, [this] { drain(1); });
-    // Without these the engine treats every inbox as empty and may stop
-    // while a message still sits in a ring with both shards idle.
-    par.set_inbox_empty(0, [this] { return ring10.empty(); });
-    par.set_inbox_empty(1, [this] { return ring01.empty(); });
     // Kick off: shard 0 sends value 0 arriving at t=1000 on shard 1, via a
-    // local event so the first window has work.
+    // local event so the first quantum has work.
     par.shard(0).schedule_at(0, [this] { send(0, 1000, 0); });
     auto r = par.run(threads);
     return RunStats{r.events, r.windows, log[0], log[1]};
@@ -102,8 +79,69 @@ TEST(ParallelEngine, PingPongIdenticalAt1And2Threads) {
   EXPECT_EQ(r1.log1.front() & 0xFFFF, 0u);
 }
 
+// Between hops both shards are idle and the only work left sits in a
+// mailbox, so a termination sweep that ever missed an undrained message
+// would end a run early, silently. Repeat enough 2-thread runs that such a
+// race cannot hide.
+TEST(ParallelEngine, PingPongNeverStopsEarlyAt2Threads) {
+  for (int i = 0; i < 2000; ++i) {
+    Harness h;
+    const auto r = h.run(2);
+    ASSERT_EQ(r.log0.size() + r.log1.size(),
+              static_cast<std::size_t>(Harness::kRounds + 1))
+        << "run " << i << " stopped early";
+  }
+}
+
+// One event fills a mailbox past its ring (the rest spills) and posts a
+// body too big for any slot. Drain order is ring first, then spill, and
+// keys are posted in descending order — yet every message must run exactly
+// once, in key order, with its body intact.
+TEST(ParallelEngine, MailboxOverflowDeliversEveryMessageInKeyOrder) {
+  constexpr std::uint64_t kSmall = ParallelEngine::kMailboxSlots * 3 / 2;
+  constexpr std::size_t kBigBytes = 2 * ParallelEngine::kMailboxSlotBytes;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<std::uint64_t> ran;  // keys, in execution order
+    int bad_bodies = 0;
+    ParallelEngine::Transport t;
+    ParallelEngine* engine = nullptr;
+    t.deliver = [&](int dst, Ps head, std::uint64_t key,
+                    std::span<const std::byte> body) {
+      if (key == 0) {
+        bad_bodies += body.size() != kBigBytes;
+        for (const std::byte b : body) bad_bodies += b != std::byte{0x5A};
+      } else {
+        std::uint64_t v = 0;
+        bad_bodies += body.size() != sizeof(v);
+        std::memcpy(&v, body.data(), sizeof(v));
+        bad_bodies += v != key;
+      }
+      engine->shard(dst).schedule_cross(head, key,
+                                        [&ran, key] { ran.push_back(key); });
+    };
+    ParallelEngine par(2, 100, std::move(t));
+    engine = &par;
+    par.shard(0).schedule_at(0, [&par] {
+      for (std::uint64_t key = kSmall; key >= 1; --key) {
+        par.post(0, 1, 1000, key, sizeof(key), [key](std::byte* out) {
+          std::memcpy(out, &key, sizeof(key));
+        });
+      }
+      par.post(0, 1, 1000, 0, kBigBytes, [](std::byte* out) {
+        std::memset(out, 0x5A, kBigBytes);
+      });
+    });
+    const auto r = par.run(threads);
+    EXPECT_EQ(bad_bodies, 0);
+    ASSERT_EQ(ran.size(), kSmall + 1);
+    for (std::uint64_t i = 0; i <= kSmall; ++i) EXPECT_EQ(ran[i], i);
+    EXPECT_EQ(r.events, kSmall + 2);
+  }
+}
+
 TEST(ParallelEngine, IdleGapsAreSkipped) {
-  ParallelEngine par(2, 10);
+  ParallelEngine par(2, 10, {});
   std::vector<Ps> fired;
   // Events ten million ps apart: window-by-window stepping would need ~1e6
   // windows; idle-skip must land one window per event cluster.
@@ -131,7 +169,7 @@ TEST(ParallelEngine, CrossBandOrdersAfterLocalEventsAtSameTime) {
 }
 
 TEST(ParallelEngine, SpawnedRootsAndPendingRootsAggregate) {
-  ParallelEngine par(3, 1000);
+  ParallelEngine par(3, 1000, {});
   // Atomic: the three roots live on different shards, so with 2 worker
   // threads two of them can retire this counter concurrently.
   std::atomic<int> done{0};
