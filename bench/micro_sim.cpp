@@ -51,6 +51,8 @@ void BM_CoroutinePingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_CoroutinePingPong);
 
+// crc32() with the kernel start-up picked: carry-less multiply from 64 B
+// on CPUs with PCLMULQDQ, slice-by-8 otherwise (and below 64 B).
 void BM_Crc32(benchmark::State& state) {
   Bytes data = pattern_bytes(1, state.range(0));
   for (auto _ : state) {
@@ -58,10 +60,21 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
 
-// The reference bytewise CRC, kept as the baseline the slice-by-8 fast path
-// in crc32.cpp is measured against (and as its correctness oracle).
+// The portable slice-by-8 kernel, the only one on CPUs without PCLMULQDQ.
+void BM_Crc32Slice8(benchmark::State& state) {
+  Bytes data = pattern_bytes(1, state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        detail::crc32_update_slice8(0xFFFFFFFFu, ByteSpan{data}));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Slice8)->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
+
+// The reference bytewise CRC, kept as the baseline the fast kernels in
+// crc32.cpp are measured against (and as their correctness oracle).
 void BM_Crc32Bytewise(benchmark::State& state) {
   Bytes data = pattern_bytes(1, state.range(0));
   for (auto _ : state) {
@@ -70,7 +83,7 @@ void BM_Crc32Bytewise(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32Bytewise)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_Crc32Bytewise)->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
 
 // Acquire/release cycle against a warm pool: every acquire is a hit, no
 // heap traffic. Compare with BM_BufferFresh below for the saved cost.

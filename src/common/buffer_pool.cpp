@@ -1,5 +1,6 @@
 #include "common/buffer_pool.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -82,6 +83,21 @@ detail::BlockHeader* BufferPool::take_block(std::size_t n, bool* fresh) {
   h->crc_valid = false;
   h->pool = this;
   return h;
+}
+
+void BufferPool::prewarm(std::size_t n, std::size_t count) {
+  const std::size_t cls = class_for_request(n);
+  if (cls >= kClasses) return;
+  auto& parked = free_blocks_[cls];
+  const std::size_t target = std::min(count, retain_limit(cls));
+  while (parked.size() < target) {
+    parked.push_back(
+        detail::alloc_block(std::size_t{1} << (cls + kMinClassLog2)));
+    ++stats_.fresh_allocs;
+    if (++stats_.free_buffers > stats_.free_high) {
+      stats_.free_high = stats_.free_buffers;
+    }
+  }
 }
 
 void BufferPool::return_block(detail::BlockHeader* h) noexcept {

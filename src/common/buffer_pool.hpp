@@ -37,9 +37,9 @@ class BufferPool {
   };
 
   /// `retain_bytes_per_class` is the byte budget each size class may park
-  /// (see release()). The default fits paper-scale clusters; thousand-host
-  /// fabrics raise it so their much larger live-buffer high water still
-  /// comes home to the pool instead of the allocator.
+  /// (see release()). The 4 MiB default serves every preset, the
+  /// thousand-host fat-tree included; only the fabric_scale bench raises
+  /// it, to hold its much larger live-buffer high water.
   explicit BufferPool(
       std::size_t retain_bytes_per_class = kDefaultRetainBytesPerClass)
       : retain_bytes_per_class_(retain_bytes_per_class) {}
@@ -66,6 +66,12 @@ class BufferPool {
   /// the last reference drops. The bytes are NOT initialized (no hidden
   /// zero-fill — producers overwrite the full view).
   BufferRef acquire_ref(std::size_t n, bool* fresh = nullptr);
+
+  /// Park fresh blocks in the size class serving `n`-byte requests until it
+  /// holds min(count, retention limit) of them — the pre-warm for runs
+  /// whose live-block high water a warm-up wave cannot reach
+  /// deterministically. Each new block counts as a fresh allocation.
+  void prewarm(std::size_t n, std::size_t count);
 
   const Stats& stats() const noexcept { return stats_; }
 

@@ -74,11 +74,13 @@ class Host {
     ledger_.note_copy(bytes);
   }
 
-  /// Pay all accumulated charges as simulated delay.
-  sim::Task<void> sync() {
+  /// Pay all accumulated charges as simulated delay. Returns the engine's
+  /// delay awaiter, not a coroutine, so `co_await host.sync()` costs no
+  /// frame; the charges are taken at the call, so await the result at once.
+  auto sync() {
     sim::Ps due = pending_;
     pending_ = 0;
-    if (due > 0) co_await eng_.delay(due);
+    return eng_.delay(due);
   }
 
   /// Charge and pay in one step (convenience for blocking-style code).

@@ -26,16 +26,17 @@ class IoBus {
                                 static_cast<double>(bytes));
   }
 
-  /// Occupy the bus for a DMA transfer of `bytes`.
-  sim::Task<void> dma(std::size_t bytes) {
-    co_await res_.occupy(dma_time(bytes) + stall(bytes));
+  /// Occupy the bus for a DMA transfer of `bytes` (an occupy() awaiter:
+  /// co_await it at once).
+  auto dma(std::size_t bytes) {
+    return res_.occupy(dma_time(bytes) + stall(bytes));
   }
 
   /// Occupy the bus for programmed I/O of `bytes`. The caller's host CPU is
   /// also busy for this duration (it is executing the store loop) — callers
   /// should ledger it via Host::note(Cost::kPio, pio_time(bytes)).
-  sim::Task<void> pio(std::size_t bytes) {
-    co_await res_.occupy(pio_time(bytes) + stall(bytes));
+  auto pio(std::size_t bytes) {
+    return res_.occupy(pio_time(bytes) + stall(bytes));
   }
 
   /// Arm (or disarm) fault-injected arbitration stalls on this bus.

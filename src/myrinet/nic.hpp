@@ -122,9 +122,10 @@ class Nic {
   int id() const noexcept { return id_; }
   const NicParams& params() const noexcept { return p_; }
 
-  /// Enqueue a send; suspends if the descriptor queue is full.
+  /// Enqueue a send; suspends if the descriptor queue is full. Hands back
+  /// the queue's push task itself, so enqueue adds no frame of its own.
   sim::Task<void> enqueue(SendDescriptor d) {
-    co_await tx_queue_.push(std::move(d));
+    return tx_queue_.push(std::move(d));
   }
   bool try_enqueue(SendDescriptor d) {
     return tx_queue_.try_push(std::move(d));

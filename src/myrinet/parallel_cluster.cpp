@@ -116,20 +116,18 @@ ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
   // Pre-warm every shard's buffer pool across the packet size classes.
   // Under batched quanta the peak number of simultaneously live blocks
   // depends on cross-shard thread timing, so a warmup wave cannot
-  // deterministically reach the high-water mark the way it does in serial
-  // runs; paying the structural worst case here keeps the steady-state
-  // data path off the allocator at any interleaving.
-  for (int s = 0; s < n_shards_; ++s) {
+  // deterministically reach the high-water mark; parking the structural
+  // worst case (up to the pool's retention limit) keeps the steady-state
+  // data path off the allocator at any interleaving. A 1-shard cluster
+  // has no cross-shard timing: its warm-up wave reaches the high water,
+  // as a serial run does, so it skips this.
+  const int prewarm_shards = n_shards_ > 1 ? n_shards_ : 0;
+  for (int s = 0; s < prewarm_shards; ++s) {
     const int hosts = shard_begin_[s + 1] - shard_begin_[s];
-    const int per_class = 128 * (hosts + 1);
-    std::vector<BufferRef> warm;
-    warm.reserve(static_cast<std::size_t>(per_class));
+    const auto per_class = static_cast<std::size_t>(128 * (hosts + 1));
     for (std::size_t sz = 64; sz / 2 < sim::ParallelEngine::kMailboxSlotBytes;
          sz *= 2) {
-      warm.clear();
-      for (int i = 0; i < per_class; ++i) {
-        warm.push_back(fabrics_[s]->pool().acquire_ref(sz));
-      }
+      fabrics_[s]->pool().prewarm(sz, per_class);
     }
   }
   // Every shard's tracer sees its own fabric replica, pool and nodes.

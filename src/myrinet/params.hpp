@@ -124,9 +124,9 @@ struct FabricParams {
   int oversubscription = 1;
 
   /// Per-size-class byte budget the cluster buffer pool retains (see
-  /// common/buffer_pool.hpp). The 4 MiB default fits the paper-scale
-  /// presets; thousand-host runs raise it so the steady-state data path
-  /// stays off the allocator at their much larger live-buffer high water.
+  /// common/buffer_pool.hpp). The 4 MiB default serves every preset,
+  /// fat_tree_cluster's 1024 hosts included; only the fabric_scale bench
+  /// raises it, for its much larger live-buffer high water.
   std::size_t pool_retain_bytes_per_class = std::size_t{4} << 20;
 };
 

@@ -221,7 +221,7 @@ class Engine {
   int pending_roots() const noexcept { return live_roots_; }
 
  private:
-  struct DelayAwaiter {
+  struct [[nodiscard]] DelayAwaiter {
     Engine& eng;
     Ps wake;
     bool await_ready() const noexcept { return wake <= eng.now_; }

@@ -1,7 +1,9 @@
 // Size-bucketed free-list allocator for coroutine frames. Every co_await of
-// a sim::Task (Channel::push/pop, Fabric::transmit, Host::sync, ...) creates
-// a coroutine frame; with plain operator new that is a malloc/free pair per
-// call — i.e. per simulated packet. Frame sizes repeat (the same coroutines
+// a sim::Task (Channel::push/pop, Fabric::transmit, Host::compute, ...)
+// creates a coroutine frame; with plain operator new that is a malloc/free
+// pair per call — i.e. per simulated packet. (Waits whose whole body would
+// be one delay — Host::sync, SerialResource::occupy — return the engine's
+// awaiter instead and create no frame.) Frame sizes repeat (the same coroutines
 // run millions of times), so a per-size free list reaches steady state after
 // warm-up and the simulation's hot paths stop allocating entirely.
 //

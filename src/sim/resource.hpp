@@ -6,7 +6,6 @@
 #include <algorithm>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace fmx::sim {
@@ -18,12 +17,14 @@ class SerialResource {
   SerialResource& operator=(const SerialResource&) = delete;
 
   /// Wait for our FIFO turn, hold the resource for `service`, resume when
-  /// done. Requests are ordered by the simulated time of the call.
-  Task<void> occupy(Ps service) {
+  /// done. Requests are ordered by the simulated time of the call. The
+  /// slot is reserved at the call and the returned engine awaiter (no
+  /// coroutine frame) sleeps until it ends, so await the result at once.
+  auto occupy(Ps service) {
     Ps start = std::max(eng_.now(), next_free_);
     next_free_ = start + service;
     busy_ += service;
-    co_await eng_.sleep_until(next_free_);
+    return eng_.sleep_until(next_free_);
   }
 
   /// Reserve without waiting: returns the completion time. Useful when the

@@ -88,6 +88,26 @@ TEST(BufferPool, RetentionCapDropsBurstExcess) {
   EXPECT_EQ(big.stats().free_buffers, 64u);
 }
 
+TEST(BufferPool, PrewarmParksUpToRetentionLimit) {
+  BufferPool pool;
+  pool.prewarm(100, 500);  // 128 B class: 500 is under its 32,768 limit
+  EXPECT_EQ(pool.stats().free_buffers, 500u);
+  EXPECT_EQ(pool.stats().fresh_allocs, 500u);
+  EXPECT_EQ(pool.stats().acquires, 0u);
+  pool.prewarm(128, 200);  // already holds more: parks nothing
+  EXPECT_EQ(pool.stats().free_buffers, 500u);
+
+  // 64 KiB class: 4 MiB / 64 KiB = 64 parked at most.
+  pool.prewarm(64u << 10, 100);
+  EXPECT_EQ(pool.stats().free_buffers, 564u);
+
+  bool fresh = true;
+  BufferRef r = pool.acquire_ref(120, &fresh);
+  EXPECT_FALSE(fresh);  // served from the pre-warmed blocks
+  EXPECT_EQ(r.size(), 120u);
+  EXPECT_EQ(pool.stats().fresh_allocs, 564u);
+}
+
 TEST(BufferPool, OversizeRequestsBypassRetention) {
   BufferPool pool;
   Bytes huge = pool.acquire(2u << 20);  // 2 MiB: above the top class

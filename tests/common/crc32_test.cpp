@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <random>
 #include <string_view>
 
 #include "common/buffer.hpp"
@@ -101,6 +103,77 @@ TEST_P(Crc32Param, SplitInvariance) {
 
 INSTANTIATE_TEST_SUITE_P(Splits, Crc32Param,
                          ::testing::Values(0, 1, 7, 64, 255, 256, 511, 512));
+
+// Every kernel crc32_update may pick must agree with the bytewise reference
+// on every input: all lengths through 4,200 bytes plus a 16 KiB span, start
+// offsets 0-15 (the CLMUL kernel's 16-byte loads are unaligned), random
+// non-initial states, and two-chunk splits on either side of the 64-byte
+// CLMUL threshold. Lengths from 64 up make the CLMUL kernel fold, and each
+// tail length 0-15 exercises its slice-by-8 hand-off; under ASan/UBSan
+// (the `kernel` label) every vector load is bounds-checked.
+using Kernel = std::uint32_t (*)(std::uint32_t, std::span<const std::byte>);
+
+void expect_matches_bytewise(Kernel kernel) {
+  constexpr std::size_t kMaxLen = 4200;
+  constexpr std::size_t kBig = 16384;
+  const Bytes data = pattern_bytes(1234, kBig + 16);
+  const ByteSpan all{data};
+  std::mt19937 rng(20261017);
+  std::size_t cases = 0;
+  std::size_t mismatches = 0;
+  auto check = [&](std::uint32_t state, ByteSpan in) {
+    ++cases;
+    if (kernel(state, in) != detail::crc32_update_bytewise(state, in) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << "length " << in.size() << " offset "
+                    << (in.data() - all.data()) << " state 0x" << std::hex
+                    << state;
+    }
+  };
+
+  // Every length, each at a rotating offset, from the initial and from a
+  // random mid-stream state.
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    check(crc32_init(), all.subspan(len % 16, len));
+    check(rng(), all.subspan((len * 7 + 3) % 16, len));
+  }
+  // Every offset, across the threshold and for the 16 KiB span.
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 160; ++len) {
+      check(rng(), all.subspan(off, len));
+    }
+    check(rng(), all.subspan(off, kBig));
+  }
+  // Two chunks: the kernel's state after chunk one seeds chunk two, and
+  // the pair must equal the reference over the whole span.
+  for (std::size_t len : {std::size_t{63}, std::size_t{64}, std::size_t{65},
+                          std::size_t{127}, std::size_t{128},
+                          std::size_t{129}, std::size_t{200}}) {
+    for (std::size_t split = 0; split <= len; ++split) {
+      const std::uint32_t st = rng();
+      const ByteSpan in = all.subspan(split % 16, len);
+      ++cases;
+      const std::uint32_t got =
+          kernel(kernel(st, in.first(split)), in.subspan(split));
+      if (got != detail::crc32_update_bytewise(st, in) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "length " << len << " split at " << split;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << cases << " cases";
+}
+
+TEST(Crc32Kernels, Slice8MatchesBytewise) {
+  expect_matches_bytewise(&detail::crc32_update_slice8);
+}
+
+TEST(Crc32Kernels, ClmulMatchesBytewise) {
+  if (!detail::crc32_clmul_supported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1; crc32_update uses slice-by-8";
+  }
+  expect_matches_bytewise(&detail::crc32_update_clmul);
+}
 
 }  // namespace
 }  // namespace fmx
