@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using namespace fmx::bench;
@@ -20,9 +21,11 @@ namespace {
 
 double bw(const net::ClusterParams& cp, std::size_t msg, fm2::Config fcfg,
           mpi::MpiFm2Options opt, int n_msgs = 100) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  mpi::MpiFm2 tx(cluster, 0, fcfg, opt), rx(cluster, 1, fcfg, opt);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0), fcfg);
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1), fcfg);
+  mpi::MpiFm2 tx(ep0, opt), rx(ep1, opt);
   sim::Ps t_end = 0;
   eng.spawn([](mpi::Comm& c, std::size_t sz, int n) -> Task<void> {
     Bytes m(sz);
@@ -38,7 +41,7 @@ double bw(const net::ClusterParams& cp, std::size_t msg, fm2::Config fcfg,
     for (auto& r : reqs) co_await c.wait(r);
     end = e.now();
   }(eng, rx, msg, n_msgs, t_end));
-  eng.run();
+  cluster.run();
   return static_cast<double>(msg) * n_msgs / sim::to_seconds(t_end) / 1e6;
 }
 

@@ -9,6 +9,7 @@
 
 #include "bench_util.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using namespace fmx::bench;
@@ -18,11 +19,13 @@ using sim::Task;
 namespace {
 
 double bw(std::size_t msg, std::size_t threshold, int n_msgs = 60) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
   mpi::MpiFm2Options opt;
   opt.eager_threshold = threshold;
-  mpi::MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  mpi::MpiFm2 tx(ep0, opt), rx(ep1, opt);
   sim::Ps t_end = 0;
   eng.spawn([](mpi::Comm& c, std::size_t sz, int n) -> Task<void> {
     Bytes m(sz);
@@ -38,17 +41,19 @@ double bw(std::size_t msg, std::size_t threshold, int n_msgs = 60) {
     for (auto& r : reqs) co_await c.wait(r);
     end = e.now();
   }(eng, rx, msg, n_msgs, t_end));
-  eng.run();
+  cluster.run();
   return static_cast<double>(msg) * n_msgs / sim::to_seconds(t_end) / 1e6;
 }
 
 // Copied bytes on the receiver when the whole flood arrives unexpected.
 std::uint64_t unexpected_copied(std::size_t msg, std::size_t threshold) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
   mpi::MpiFm2Options opt;
   opt.eager_threshold = threshold;
-  mpi::MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  mpi::MpiFm2 tx(ep0, opt), rx(ep1, opt);
   constexpr int kN = 8;
   bool done = false;
   eng.spawn([](mpi::Comm& c, std::size_t sz) -> Task<void> {
@@ -66,7 +71,7 @@ std::uint64_t unexpected_copied(std::size_t msg, std::size_t threshold) {
     d = true;
   }(eng, rx, msg, done));
   auto before = rx.fm().host().ledger();
-  eng.run();
+  cluster.run();
   return done ? rx.fm().host().ledger().diff(before).copied_bytes() : 0;
 }
 

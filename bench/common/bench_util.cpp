@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
 
 namespace fmx::bench {
@@ -14,10 +15,10 @@ using sim::Task;
 
 Measurement fm1_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
                           int n_msgs, fm1::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm1::Endpoint tx(cluster, 0, cfg);
-  fm1::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
 
@@ -33,7 +34,7 @@ Measurement fm1_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
   }(eng, rx, got, n_msgs, t_end));
   auto tx_before = tx.host().ledger();
   auto rx_before = rx.host().ledger();
-  eng.run();
+  cluster.run();
 
   Measurement m;
   m.bandwidth_mbs = static_cast<double>(msg_size) * n_msgs /
@@ -47,10 +48,10 @@ Measurement fm1_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
 
 double fm1_latency_us(const net::ClusterParams& cp, std::size_t msg_size,
                       int rounds, fm1::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm1::Endpoint a(cluster, 0, cfg);
-  fm1::Endpoint b(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint a(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm1::Endpoint b(cluster.node(1), cluster.fabric_of(1), cfg);
   int got_a = 0, got_b = 0;
   a.register_handler(0, [&](int, ByteSpan) { ++got_a; });
   b.register_handler(0, [&](int, ByteSpan) { ++got_b; });
@@ -72,16 +73,16 @@ double fm1_latency_us(const net::ClusterParams& cp, std::size_t msg_size,
       co_await ep.send(0, 0, ByteSpan{msg});
     }
   }(b, got_b, rounds, msg_size));
-  eng.run();
+  cluster.run();
   return sim::to_us(t_end) / (2.0 * rounds);
 }
 
 Measurement fm2_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
                           int n_msgs, fm2::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm2::Endpoint tx(cluster, 0, cfg);
-  fm2::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   Bytes sink(std::max<std::size_t>(msg_size, 1));
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -101,7 +102,7 @@ Measurement fm2_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
   }(eng, rx, got, n_msgs, t_end));
   auto tx_before = tx.host().ledger();
   auto rx_before = rx.host().ledger();
-  eng.run();
+  cluster.run();
 
   Measurement m;
   m.bandwidth_mbs = static_cast<double>(msg_size) * n_msgs /
@@ -115,10 +116,10 @@ Measurement fm2_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
 
 double fm2_latency_us(const net::ClusterParams& cp, std::size_t msg_size,
                       int rounds, fm2::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm2::Endpoint a(cluster, 0, cfg);
-  fm2::Endpoint b(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint a(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint b(cluster.node(1), cluster.fabric_of(1), cfg);
   int got_a = 0, got_b = 0;
   Bytes sink(std::max<std::size_t>(msg_size, 1));
   auto make_handler = [&sink](int& counter) {
@@ -147,7 +148,7 @@ double fm2_latency_us(const net::ClusterParams& cp, std::size_t msg_size,
       co_await ep.send(0, 0, ByteSpan{msg});
     }
   }(b, got_b, rounds, msg_size));
-  eng.run();
+  cluster.run();
   return sim::to_us(t_end) / (2.0 * rounds);
 }
 
@@ -188,11 +189,11 @@ void print_series(const std::string& title,
 trace::BreakdownSummary fm1_breakdown(const net::ClusterParams& cp,
                                       std::size_t msg_size, int n_msgs,
                                       fm1::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  cluster.fabric().tracer().enable();
-  fm1::Endpoint tx(cluster, 0, cfg);
-  fm1::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  cluster.fabric_of(0).tracer().enable();
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
   eng.spawn([](fm1::Endpoint& ep, std::size_t size, int n) -> Task<void> {
@@ -202,18 +203,18 @@ trace::BreakdownSummary fm1_breakdown(const net::ClusterParams& cp,
   eng.spawn([](fm1::Endpoint& ep, int& g, int n) -> Task<void> {
     co_await ep.poll_until([&] { return g == n; });
   }(rx, got, n_msgs));
-  eng.run();
-  return trace::summarize_breakdown(cluster.fabric().tracer());
+  cluster.run();
+  return trace::summarize_breakdown(cluster.fabric_of(0).tracer());
 }
 
 trace::BreakdownSummary fm2_breakdown(const net::ClusterParams& cp,
                                       std::size_t msg_size, int n_msgs,
                                       fm2::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  cluster.fabric().tracer().enable();
-  fm2::Endpoint tx(cluster, 0, cfg);
-  fm2::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  cluster.fabric_of(0).tracer().enable();
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   Bytes sink(std::max<std::size_t>(msg_size, 1));
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -227,8 +228,8 @@ trace::BreakdownSummary fm2_breakdown(const net::ClusterParams& cp,
   eng.spawn([](fm2::Endpoint& ep, int& g, int n) -> Task<void> {
     co_await ep.poll_until([&] { return g == n; });
   }(rx, got, n_msgs));
-  eng.run();
-  return trace::summarize_breakdown(cluster.fabric().tracer());
+  cluster.run();
+  return trace::summarize_breakdown(cluster.fabric_of(0).tracer());
 }
 
 void print_breakdown_rows(
@@ -259,12 +260,15 @@ namespace fmx::bench {
 
 namespace {
 
-template <typename MpiT>
+// MpiT layers over an EndpointT (fm1::Endpoint or fm2::Endpoint).
+template <typename EndpointT, typename MpiT>
 Measurement mpi_bandwidth_impl(const net::ClusterParams& cp,
                                std::size_t msg_size, int n_msgs) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  MpiT tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  EndpointT ep0(cluster.node(0), cluster.fabric_of(0));
+  EndpointT ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT tx(ep0), rx(ep1);
   sim::Ps t_end = 0;
   eng.spawn([](mpi::Comm& c, std::size_t sz, int n) -> Task<void> {
     Bytes m(sz);
@@ -281,19 +285,21 @@ Measurement mpi_bandwidth_impl(const net::ClusterParams& cp,
     for (auto& r : reqs) co_await c.wait(r);
     end = e.now();
   }(eng, rx, msg_size, n_msgs, t_end));
-  eng.run();
+  cluster.run();
   Measurement m;
   m.bandwidth_mbs = static_cast<double>(msg_size) * n_msgs /
                     sim::to_seconds(t_end) / 1e6;
   return m;
 }
 
-template <typename MpiT>
+template <typename EndpointT, typename MpiT>
 double mpi_latency_impl(const net::ClusterParams& cp, std::size_t msg_size,
                         int rounds) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  MpiT a(cluster, 0), b(cluster, 1);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  EndpointT ep0(cluster.node(0), cluster.fabric_of(0));
+  EndpointT ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT a(ep0), b(ep1);
   sim::Ps t_end = 0;
   eng.spawn([](Engine& e, mpi::Comm& c, std::size_t sz, int n,
                sim::Ps& end) -> Task<void> {
@@ -311,7 +317,7 @@ double mpi_latency_impl(const net::ClusterParams& cp, std::size_t msg_size,
       co_await c.send(ByteSpan{m}, 0, 0);
     }
   }(b, msg_size, rounds));
-  eng.run();
+  cluster.run();
   return sim::to_us(t_end) / (2.0 * rounds);
 }
 
@@ -320,15 +326,19 @@ double mpi_latency_impl(const net::ClusterParams& cp, std::size_t msg_size,
 Measurement mpi_bandwidth(MpiGen gen, const net::ClusterParams& cp,
                           std::size_t msg_size, int n_msgs) {
   return gen == MpiGen::kFm1
-             ? mpi_bandwidth_impl<mpi::MpiFm1>(cp, msg_size, n_msgs)
-             : mpi_bandwidth_impl<mpi::MpiFm2>(cp, msg_size, n_msgs);
+             ? mpi_bandwidth_impl<fm1::Endpoint, mpi::MpiFm1>(cp, msg_size,
+                                                              n_msgs)
+             : mpi_bandwidth_impl<fm2::Endpoint, mpi::MpiFm2>(cp, msg_size,
+                                                              n_msgs);
 }
 
 double mpi_latency_us(MpiGen gen, const net::ClusterParams& cp,
                       std::size_t msg_size, int rounds) {
   return gen == MpiGen::kFm1
-             ? mpi_latency_impl<mpi::MpiFm1>(cp, msg_size, rounds)
-             : mpi_latency_impl<mpi::MpiFm2>(cp, msg_size, rounds);
+             ? mpi_latency_impl<fm1::Endpoint, mpi::MpiFm1>(cp, msg_size,
+                                                            rounds)
+             : mpi_latency_impl<fm2::Endpoint, mpi::MpiFm2>(cp, msg_size,
+                                                            rounds);
 }
 
 std::string cpu_model() {

@@ -8,6 +8,7 @@
 #include "bench_util.hpp"
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using sim::Cost;
@@ -45,9 +46,10 @@ constexpr int kMsgs = 100;
 constexpr std::size_t kSize = 2048;
 
 Ledgers fm1_run() {
-  Engine eng;
-  net::Cluster cluster(eng, net::sparc_fm1_cluster(2));
-  fm1::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::sparc_fm1_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
   eng.spawn([](fm1::Endpoint& ep) -> Task<void> {
@@ -57,14 +59,15 @@ Ledgers fm1_run() {
   eng.spawn([](fm1::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == kMsgs; });
   }(rx, got));
-  eng.run();
+  cluster.run();
   return Ledgers{tx.host().ledger(), rx.host().ledger()};
 }
 
 Ledgers fm2_run() {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   Bytes sink(kSize);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -78,15 +81,18 @@ Ledgers fm2_run() {
   eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == kMsgs; });
   }(rx, got));
-  eng.run();
+  cluster.run();
   return Ledgers{tx.host().ledger(), rx.host().ledger()};
 }
 
-template <typename MpiT>
+// MpiT layers over an EndpointT (fm1::Endpoint or fm2::Endpoint).
+template <typename EndpointT, typename MpiT>
 Ledgers mpi_run(const net::ClusterParams& cp) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  MpiT tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  EndpointT ep0(cluster.node(0), cluster.fabric_of(0));
+  EndpointT ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT tx(ep0), rx(ep1);
   eng.spawn([](mpi::Comm& c) -> Task<void> {
     Bytes m(kSize);
     for (int i = 0; i < kMsgs; ++i) co_await c.send(ByteSpan{m}, 1, 0);
@@ -99,7 +105,7 @@ Ledgers mpi_run(const net::ClusterParams& cp) {
     }
     for (auto& r : reqs) co_await c.wait(r);
   }(rx));
-  eng.run();
+  cluster.run();
   return Ledgers{tx.fm().host().ledger(), rx.fm().host().ledger()};
 }
 
@@ -112,11 +118,11 @@ int main() {
   std::printf("%-14s %6s %6s %6s %6s %6s %6s %6s %6s\n", "stack", "call",
               "copy", "header", "pio", "dispat", "match", "bufmgm", "flow");
   print_breakdown("FM 1.x", fm1_run());
-  print_breakdown("MPI-FM 1.x",
-                  mpi_run<mpi::MpiFm1>(net::sparc_fm1_cluster(2)));
+  print_breakdown("MPI-FM 1.x", mpi_run<fm1::Endpoint, mpi::MpiFm1>(
+                                    net::sparc_fm1_cluster(2)));
   print_breakdown("FM 2.x", fm2_run());
-  print_breakdown("MPI-FM 2.0",
-                  mpi_run<mpi::MpiFm2>(net::ppro_fm2_cluster(2)));
+  print_breakdown("MPI-FM 2.0", mpi_run<fm2::Endpoint, mpi::MpiFm2>(
+                                    net::ppro_fm2_cluster(2)));
   std::puts("\nreading: FM 1.x sender time is PIO; MPI-FM 1.x drowns in "
             "copy + buffer management\n(the paper's diagnosis); FM 2.x / "
             "MPI-FM 2.0 receivers spend their time on the single\n"

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/sync.hpp"
 
 using namespace fmx;
@@ -31,8 +32,8 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
     p.bus.dma_setup = 0;
     p.bus.dma_ps_per_byte = 0;
   }
-  Engine eng;
-  net::Cluster cluster(eng, p);
+  net::ParallelCluster cluster(p, 1);
+  Engine& eng = cluster.shard_engine(0);
 
   constexpr int kCredits = 8;
   constexpr int kCreditBatch = 4;
@@ -40,7 +41,7 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
       eng, stage == Stage::kPlusFlowControl ? kCredits : 1 << 20);
 
   sim::Ps t_end = 0;
-  eng.spawn([](net::Cluster& c, std::size_t sz, int n, Stage st,
+  eng.spawn([](net::ParallelCluster& c, std::size_t sz, int n, Stage st,
                std::shared_ptr<sim::Semaphore> cr) -> Task<void> {
     (void)sz;
     auto& node = c.node(0);
@@ -50,15 +51,12 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
       if (st != Stage::kLinkOnly) {
         // FM 1.x moves send data with programmed I/O across the SBus.
         co_await node.bus().pio(pkt.size());
-        co_await node.nic().enqueue(
-            net::SendDescriptor(1, std::move(pkt), /*fetch_dma=*/false));
-      } else {
-        co_await node.nic().enqueue(
-            net::SendDescriptor(1, std::move(pkt), /*fetch_dma=*/false));
       }
+      co_await node.nic().enqueue(net::SendDescriptor(
+          1, BufferRef::copy_of(ByteSpan{pkt}), /*fetch_dma=*/false));
     }
   }(cluster, msg, n_msgs, stage, credits));
-  eng.spawn([](Engine& e, net::Cluster& c, int n, Stage st,
+  eng.spawn([](Engine& e, net::ParallelCluster& c, int n, Stage st,
                std::shared_ptr<sim::Semaphore> cr,
                sim::Ps& end) -> Task<void> {
     (void)cr;
@@ -69,20 +67,21 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
       if (st == Stage::kPlusFlowControl && ++freed == 4) {
         freed = 0;
         // Return a batch of credits with a small control packet.
-        co_await node.nic().enqueue(net::SendDescriptor(0, Bytes(16), false));
+        co_await node.nic().enqueue(net::SendDescriptor(
+            0, BufferRef::copy_of(ByteSpan{Bytes(16)}), false));
       }
     }
     end = e.now();
   }(eng, cluster, n_msgs, stage, credits, t_end));
   // Credit packets arriving back at node 0 top the semaphore up.
-  eng.spawn_daemon([](net::Cluster& c,
+  eng.spawn_daemon([](net::ParallelCluster& c,
                       std::shared_ptr<sim::Semaphore> cr) -> Task<void> {
     for (;;) {
       (void)co_await c.node(0).nic().host_ring().pop();
       cr->release(kCreditBatch);
     }
   }(cluster, credits));
-  eng.run();
+  cluster.run();
   return static_cast<double>(msg) * n_msgs / sim::to_seconds(t_end) / 1e6;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using sim::Engine;
@@ -25,19 +26,19 @@ struct Result {
 };
 
 Result small_msg_latency(bool whole_message, std::size_t bulk_size) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(3);
   // Credits must cover the largest bulk message, or the whole-message
   // configuration deadlocks (see ablation_features) and the comparison
   // silently measures an idle receiver.
   params.nic.host_ring_slots = 512;
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params, 1);
+  Engine& eng = cluster.shard_engine(0);
   fm2::Config cfg;
   cfg.credits_per_peer = 192;
   cfg.whole_message_handlers = whole_message;
-  fm2::Endpoint bulk_tx(cluster, 0, cfg);
-  fm2::Endpoint small_tx(cluster, 1, cfg);
-  fm2::Endpoint rx(cluster, 2, cfg);
+  fm2::Endpoint bulk_tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint small_tx(cluster.node(1), cluster.fabric_of(1), cfg);
+  fm2::Endpoint rx(cluster.node(2), cluster.fabric_of(2), cfg);
 
   constexpr int kSmall = 40;
   int bulk_done = 0;
@@ -76,7 +77,7 @@ Result small_msg_latency(bool whole_message, std::size_t bulk_size) {
       return true;
     });
   }(rx, bulk_done, small_got));
-  eng.run();
+  cluster.run();
   if (bulk_done != kBulkMsgs) {
     std::fprintf(stderr, "BUG: bulk transfer did not complete (%d/%d)\n",
                  bulk_done, kBulkMsgs);

@@ -7,6 +7,7 @@
 #include "common/buffer_pool.hpp"
 #include "common/crc32.hpp"
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 
@@ -143,9 +144,10 @@ BENCHMARK(BM_PatternBytes)->Arg(1024)->Arg(65536);
 void BM_Fm2EndToEnd(benchmark::State& state) {
   const std::size_t msg = state.range(0);
   for (auto _ : state) {
-    sim::Engine eng;
-    net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-    fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+    net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+    sim::Engine& eng = cluster.shard_engine(0);
+    fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+    fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
     int got = 0;
     Bytes sink(msg);
     rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -159,7 +161,7 @@ void BM_Fm2EndToEnd(benchmark::State& state) {
     eng.spawn([](fm2::Endpoint& ep, int& g) -> sim::Task<void> {
       co_await ep.poll_until([&] { return g == 10; });
     }(rx, got));
-    eng.run();
+    cluster.run();
     benchmark::DoNotOptimize(got);
   }
   state.SetItemsProcessed(state.iterations() * 10);

@@ -1,13 +1,13 @@
 // Wall-clock scaling of the sharded parallel engine on two 32-node FM 2.x
 // workloads — dense all-to-all streaming and a sparse ring
 // neighbor-exchange (each node streams to its right neighbor only) — vs
-// the single-engine serial simulator on the identical all-to-all workload.
+// the 1-shard cluster on the identical all-to-all workload.
 // 32 hosts on 8 shards (4 per shard, aligned with the switch chain): with
 // one host per shard there is no local work at all and every shard's event
 // density is capped by a single simulated CPU, which measures the
 // degenerate worst case rather than the regime sharding is for.
 // Writes BENCH_parallel.json:
-//   - serial_events_per_sec:  legacy single-Engine Cluster (the PR-2 path)
+//   - serial_events_per_sec:  the 1-shard cluster (no cross-shard traffic)
 //   - per-thread-count events/sec for ParallelCluster at 1/2/4/8 threads,
 //     with a determinism digest that must be identical across all of them,
 //     plus the two synchronization meters of the published-horizon
@@ -18,8 +18,7 @@
 //     around 10) and barrier_crossings (condvar parks — the only
 //     remaining mutex crossings)
 //   - shard_tax_pct: how much the sharded model at 1 thread gives up vs
-//     the single-engine serial path (horizon publishes + cross-shard
-//     copies)
+//     the 1-shard cluster (horizon publishes + cross-shard copies)
 //   - allocs_per_event per thread count (steady state; per-shard pools and
 //     the persistent worker pool keep this at exactly 0)
 //   - ring: the same sweep on the neighbor-exchange workload, where the
@@ -66,28 +65,27 @@ struct Digest {
 };
 
 // All-to-all stream: every node sends `per_pair` messages to every peer;
-// receivers poll until they saw them all. Works identically on the serial
-// Cluster and on a ParallelCluster shard set, since endpoints only touch
-// node-local state. Returns events processed by the run.
-template <typename SpawnFn, typename RunFn>
-std::uint64_t all_to_all(std::vector<std::unique_ptr<fm2::Endpoint>>& eps,
-                         std::vector<int>& got, const Bytes& payload,
-                         int per_pair, SpawnFn&& spawn_on, RunFn&& run) {
+// receivers poll until they saw them all. Endpoints only touch node-local
+// state, so the workload runs unchanged at any shard count.
+net::ParallelCluster::RunResult all_to_all(
+    net::ParallelCluster& cl, int threads,
+    std::vector<std::unique_ptr<fm2::Endpoint>>& eps, std::vector<int>& got,
+    const Bytes& payload, int per_pair) {
   std::fill(got.begin(), got.end(), 0);
   for (int i = 0; i < kHosts; ++i) {
-    spawn_on(i, [](fm2::Endpoint& ep, ByteSpan msg, int self,
-                   int n) -> sim::Task<void> {
+    cl.spawn_on(i, [](fm2::Endpoint& ep, ByteSpan msg, int self,
+                      int n) -> sim::Task<void> {
       for (int m = 0; m < n; ++m) {
         for (int j = 0; j < kHosts; ++j) {
           if (j != self) co_await ep.send(j, 0, msg);
         }
       }
     }(*eps[i], ByteSpan{payload}, i, per_pair));
-    spawn_on(i, [](fm2::Endpoint& ep, int& g, int want) -> sim::Task<void> {
+    cl.spawn_on(i, [](fm2::Endpoint& ep, int& g, int want) -> sim::Task<void> {
       co_await ep.poll_until([&g, want] { return g == want; });
     }(*eps[i], got[i], per_pair * (kHosts - 1)));
   }
-  return run();
+  return cl.run(threads);
 }
 
 void make_handlers(std::vector<std::unique_ptr<fm2::Endpoint>>& eps,
@@ -110,21 +108,21 @@ void make_handlers(std::vector<std::unique_ptr<fm2::Endpoint>>& eps,
 // per-pair lookahead matrix, non-adjacent shards synchronize loosely; under
 // a single global lookahead this workload paid the same tight windows as
 // the dense one.
-template <typename SpawnFn, typename RunFn>
-std::uint64_t ring_exchange(std::vector<std::unique_ptr<fm2::Endpoint>>& eps,
-                            std::vector<int>& got, const Bytes& payload,
-                            int per_pair, SpawnFn&& spawn_on, RunFn&& run) {
+net::ParallelCluster::RunResult ring_exchange(
+    net::ParallelCluster& cl, int threads,
+    std::vector<std::unique_ptr<fm2::Endpoint>>& eps, std::vector<int>& got,
+    const Bytes& payload, int per_pair) {
   std::fill(got.begin(), got.end(), 0);
   for (int i = 0; i < kHosts; ++i) {
-    spawn_on(i, [](fm2::Endpoint& ep, ByteSpan msg, int dst,
-                   int n) -> sim::Task<void> {
+    cl.spawn_on(i, [](fm2::Endpoint& ep, ByteSpan msg, int dst,
+                      int n) -> sim::Task<void> {
       for (int m = 0; m < n; ++m) co_await ep.send(dst, 0, msg);
     }(*eps[i], ByteSpan{payload}, (i + 1) % kHosts, per_pair));
-    spawn_on(i, [](fm2::Endpoint& ep, int& g, int want) -> sim::Task<void> {
+    cl.spawn_on(i, [](fm2::Endpoint& ep, int& g, int want) -> sim::Task<void> {
       co_await ep.poll_until([&g, want] { return g == want; });
     }(*eps[i], got[i], per_pair));
   }
-  return run();
+  return cl.run(threads);
 }
 
 struct Measured {
@@ -136,8 +134,8 @@ struct Measured {
   std::uint64_t barrier_crossings = 0;
 };
 
-Measured run_parallel(int threads, std::size_t msg_size, int per_pair,
-                      int warmup_pairs, int reps, bool ring) {
+Measured run_cluster(int shards, int threads, std::size_t msg_size,
+                     int per_pair, int warmup_pairs, int reps, bool ring) {
   auto params = net::ppro_fm2_cluster(kHosts);
   // Deep host receive region (FM 2.x keeps flow-control state in host
   // memory precisely so the receive window can be large): the default 64
@@ -145,7 +143,7 @@ Measured run_parallel(int threads, std::size_t msg_size, int per_pair,
   // sender idle for most of the round trip. 512 slots keep all flows
   // streaming, which is the regime the scaling bench is about.
   params.nic.host_ring_slots = 512;
-  net::ParallelCluster cl(params, kShards);
+  net::ParallelCluster cl(params, shards);
   std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   for (int i = 0; i < kHosts; ++i) {
     eps.push_back(
@@ -157,19 +155,13 @@ Measured run_parallel(int threads, std::size_t msg_size, int per_pair,
   make_handlers(eps, got, rx, sink);
   const Bytes payload = pattern_bytes(3, msg_size);
 
-  auto spawn = [&cl](int node, sim::Task<void> t) {
-    cl.spawn_on(node, std::move(t));
-  };
   Measured m;
-  auto run = [&cl, &m, threads] {
-    auto r = cl.run(threads);
+  auto wave = [&](int pairs) {
+    const auto r = ring ? ring_exchange(cl, threads, eps, got, payload, pairs)
+                        : all_to_all(cl, threads, eps, got, payload, pairs);
     m.windows = r.windows;
     m.barrier_crossings = r.barrier_crossings;
     return r.events;
-  };
-  auto wave = [&](int pairs) {
-    return ring ? ring_exchange(eps, got, payload, pairs, spawn, run)
-                : all_to_all(eps, got, payload, pairs, spawn, run);
   };
 
   wave(warmup_pairs);  // warm pools and spawn the persistent worker pool
@@ -198,40 +190,6 @@ Measured run_parallel(int threads, std::size_t msg_size, int per_pair,
   return m;
 }
 
-Measured run_serial(std::size_t msg_size, int per_pair, int warmup_pairs,
-                    int reps) {
-  sim::Engine eng;
-  auto params = net::ppro_fm2_cluster(kHosts);
-  params.nic.host_ring_slots = 512;  // match run_parallel (same workload)
-  net::Cluster cluster(eng, params);
-  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
-  for (int i = 0; i < kHosts; ++i) {
-    eps.push_back(std::make_unique<fm2::Endpoint>(cluster, i));
-  }
-  std::vector<int> got(kHosts, 0);
-  std::vector<Digest> rx(kHosts);
-  std::vector<Bytes> sink(kHosts, Bytes(msg_size));
-  make_handlers(eps, got, rx, sink);
-  const Bytes payload = pattern_bytes(3, msg_size);
-
-  auto spawn = [&eng](int, sim::Task<void> t) { eng.spawn(std::move(t)); };
-  auto run = [&eng] { return eng.run(); };
-
-  all_to_all(eps, got, payload, warmup_pairs, spawn, run);
-  Measured m;
-  std::vector<double> walls;
-  for (int r = 0; r < reps; ++r) {
-    bench::alloc_hook_reset();
-    const auto t0 = Clock::now();
-    m.events = all_to_all(eps, got, payload, per_pair, spawn, run);
-    const auto t1 = Clock::now();
-    m.allocs = std::max(m.allocs, bench::alloc_hook_count());
-    walls.push_back(std::chrono::duration<double>(t1 - t0).count());
-  }
-  m.wall_s = bench::median(walls);
-  return m;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -250,11 +208,13 @@ int main(int argc, char** argv) {
               "%d reps (medians), %u cpu(s), lookahead %.0f ns\n",
               kHosts, per_pair, msg_size, reps, cpus, sim::to_ns(lookahead));
 
-  const Measured serial = run_serial(msg_size, per_pair, warmup_pairs, reps);
-  const double serial_eps = serial.events / serial.wall_s;
-  std::printf("  serial engine      %9.3g events/sec (%llu events, %.3f s)\n",
-              serial_eps, static_cast<unsigned long long>(serial.events),
-              serial.wall_s);
+  // Baseline: the all-to-all on a 1-shard cluster.
+  const Measured base =
+      run_cluster(1, 1, msg_size, per_pair, warmup_pairs, reps, false);
+  const double base_eps = base.events / base.wall_s;
+  std::printf("  1-shard cluster    %9.3g events/sec (%llu events, %.3f s)\n",
+              base_eps, static_cast<unsigned long long>(base.events),
+              base.wall_s);
 
   // Events per cluster window-equivalent: windows counts non-empty
   // per-shard quanta, so one "every shard stepped once" stretch
@@ -267,8 +227,8 @@ int main(int argc, char** argv) {
                    double (&eps)[4]) {
     bool ok = true;
     for (int k = 0; k < 4; ++k) {
-      out[k] = run_parallel(thread_counts[k], msg_size, per_pair,
-                            warmup_pairs, reps, ring);
+      out[k] = run_cluster(kShards, thread_counts[k], msg_size, per_pair,
+                           warmup_pairs, reps, ring);
       eps[k] = out[k].events / out[k].wall_s;
       if (out[k].digest != out[0].digest || out[k].events != out[0].events) {
         ok = false;
@@ -292,7 +252,7 @@ int main(int argc, char** argv) {
 
   const double speedup_4t = par_eps[2] / par_eps[0];
   const double ring_speedup_4t = rng_eps[2] / rng_eps[0];
-  const double shard_tax_pct = 100.0 * (serial_eps - par_eps[0]) / serial_eps;
+  const double shard_tax_pct = 100.0 * (base_eps - par_eps[0]) / base_eps;
   std::printf("  speedup at 4 threads: %.2fx alltoall, %.2fx ring; shard "
               "tax %.1f%%; digests %s\n",
               speedup_4t, ring_speedup_4t, shard_tax_pct,
@@ -333,8 +293,8 @@ int main(int argc, char** argv) {
                "  \"threads\": [\n",
                kHosts, msg_size, per_pair, reps, cpus,
                bench::cpu_model().c_str(),
-               static_cast<unsigned long long>(lookahead), serial_eps,
-               static_cast<unsigned long long>(serial.events));
+               static_cast<unsigned long long>(lookahead), base_eps,
+               static_cast<unsigned long long>(base.events));
   emit_rows(par, par_eps);
   std::fprintf(f,
                "  ],\n"

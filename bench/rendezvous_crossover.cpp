@@ -32,7 +32,7 @@
 #include "bench_util.hpp"
 #include "common/copy_stats.hpp"
 #include "mpi/mpi_fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using bench::Measurement;
@@ -68,9 +68,11 @@ mpi::MpiFm2Options rdzv_stream_opt() {
 /// cache exists for.
 double latency_us(const mpi::MpiFm2Options& opt, std::size_t msg_size,
                   int rounds) {
-  sim::Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  mpi::MpiFm2 a(cluster, 0, {}, opt), b(cluster, 1, {}, opt);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  sim::Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  mpi::MpiFm2 a(ep0, opt), b(ep1, opt);
   sim::Ps t_end = 0;
   eng.spawn([](sim::Engine& e, mpi::Comm& c, std::size_t sz, int n,
                sim::Ps& end) -> sim::Task<void> {
@@ -88,7 +90,7 @@ double latency_us(const mpi::MpiFm2Options& opt, std::size_t msg_size,
       co_await c.send(ByteSpan{m}, 0, 0);
     }
   }(b, msg_size, rounds));
-  eng.run();
+  cluster.run();
   return sim::to_us(t_end) / (2.0 * rounds);
 }
 
@@ -102,9 +104,11 @@ struct BwResult {
 /// methodology, and the shape that keeps the rendezvous pipeline full).
 BwResult bandwidth(const mpi::MpiFm2Options& opt, std::size_t msg_size,
                    int n_msgs) {
-  sim::Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  mpi::MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  sim::Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  mpi::MpiFm2 tx(ep0, opt), rx(ep1, opt);
   sim::Ps t_end = 0;
   eng.spawn([](mpi::Comm& c, std::size_t sz, int n) -> sim::Task<void> {
     Bytes m(sz);
@@ -122,7 +126,7 @@ BwResult bandwidth(const mpi::MpiFm2Options& opt, std::size_t msg_size,
     end = e.now();
   }(eng, rx, msg_size, n_msgs, t_end));
   CopyStats::instance().reset();
-  eng.run();
+  cluster.run();
   BwResult r;
   r.mbs = static_cast<double>(msg_size) * n_msgs / sim::to_seconds(t_end) /
           1e6;

@@ -43,7 +43,7 @@
 #include "alloc_hook.hpp"
 #include "bench_util.hpp"
 #include "mpi/mpi_fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using sim::Engine;
@@ -163,21 +163,23 @@ struct ConfigResult {
 };
 
 ConfigResult run_config(const net::ClusterParams& params) {
-  Engine eng;
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params, 1);
+  Engine& eng = cluster.shard_engine(0);
   mpi::MpiFm2Options opt;
   opt.nic_collectives = true;
   opt.coll_radix = kCollRadix;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   Comms comms;
   for (int r = 0; r < params.n_hosts; ++r) {
-    comms.push_back(
-        std::make_unique<mpi::MpiFm2>(cluster, r, fm2::Config{}, opt));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(r),
+                                                  cluster.fabric_of(r)));
+    comms.push_back(std::make_unique<mpi::MpiFm2>(*eps.back(), opt));
   }
   ConfigResult res;
   for (int r = 0; r < params.n_hosts; ++r) {
     eng.spawn(rank_main(eng, comms, r, res.phases));
   }
-  eng.run();
+  cluster.run();
   // De-bias the sync overhead: every phase window closes with one NIC
   // barrier. For the NIC-barrier phase itself that closing sync is simply
   // the (kIters+1)-th sample of the measured op; every other phase

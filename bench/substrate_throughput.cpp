@@ -32,6 +32,7 @@
 #include "alloc_hook.hpp"
 #include "bench_util.hpp"
 #include "common/copy_stats.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
@@ -40,18 +41,21 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-// Streams `n` messages of `size` bytes from tx to rx and runs the engine to
-// quiescence. Returns events retired during the run.
-std::uint64_t stream(sim::Engine& eng, fm2::Endpoint& tx, fm2::Endpoint& rx,
-                     int& got, ByteSpan payload, int n) {
+// Streams `n` messages of `size` bytes from tx to rx and runs the cluster
+// to quiescence. Returns events retired during the run.
+std::uint64_t stream(net::ParallelCluster& cluster, fm2::Endpoint& tx,
+                     fm2::Endpoint& rx, int& got, ByteSpan payload, int n) {
   got = 0;
-  eng.spawn([](fm2::Endpoint& ep, ByteSpan msg, int count) -> sim::Task<void> {
-    for (int i = 0; i < count; ++i) co_await ep.send(1, 0, msg);
-  }(tx, payload, n));
-  eng.spawn([](fm2::Endpoint& ep, int& g, int count) -> sim::Task<void> {
-    co_await ep.poll_until([&] { return g == count; });
-  }(rx, got, n));
-  return eng.run();
+  cluster.spawn_on(
+      tx.id(),
+      [](fm2::Endpoint& ep, ByteSpan msg, int count) -> sim::Task<void> {
+        for (int i = 0; i < count; ++i) co_await ep.send(1, 0, msg);
+      }(tx, payload, n));
+  cluster.spawn_on(
+      rx.id(), [](fm2::Endpoint& ep, int& g, int count) -> sim::Task<void> {
+        co_await ep.poll_until([&] { return g == count; });
+      }(rx, got, n));
+  return cluster.run().events;
 }
 
 struct Rep {
@@ -72,9 +76,11 @@ int main(int argc, char** argv) {
   const int reps = std::max(argc > 4 ? std::atoi(argv[4]) : 5, 1);
   const int warmup_msgs = 200;
 
-  sim::Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  sim::Engine& eng = cluster.shard_engine(0);
+  net::Fabric& fabric = cluster.fabric_of(0);
+  fm2::Endpoint tx(cluster.node(0), fabric);
+  fm2::Endpoint rx(cluster.node(1), fabric);
   int got = 0;
   Bytes sink(msg_size);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -87,17 +93,17 @@ int main(int argc, char** argv) {
   // the trace ring to their steady-state footprint before anything is
   // measured. enable() preallocates chunk storage once; later enables reuse
   // it.
-  stream(eng, tx, rx, got, ByteSpan{msg}, warmup_msgs);
-  cluster.fabric().tracer().enable();
-  stream(eng, tx, rx, got, ByteSpan{msg}, warmup_msgs);
-  cluster.fabric().tracer().disable();
+  stream(cluster, tx, rx, got, ByteSpan{msg}, warmup_msgs);
+  fabric.tracer().enable();
+  stream(cluster, tx, rx, got, ByteSpan{msg}, warmup_msgs);
+  fabric.tracer().disable();
 
   // Physical vs modeled copies over one measured stream (the workload is
   // deterministic, so rep 0 speaks for all reps). real_* is what the
   // simulator process actually memcpy'd; modeled_* is what the cost model
   // charged the simulated hosts. The zero-copy data plane means the only
   // real copies left are the modeled endpoint ones — per-hop real copies
-  // (retention, duplication, staging) must be zero in a serial run.
+  // (retention, duplication, staging) must be zero in a 1-shard run.
   CopyStats::instance().reset();
   const std::uint64_t mod_copies0 =
       tx.host().ledger().copies() + rx.host().ledger().copies();
@@ -111,7 +117,7 @@ int main(int argc, char** argv) {
     bench::alloc_hook_reset();
     const sim::Ps sim_start = eng.now();
     const auto t0 = Clock::now();
-    plain[r].events = stream(eng, tx, rx, got, ByteSpan{msg}, n_msgs);
+    plain[r].events = stream(cluster, tx, rx, got, ByteSpan{msg}, n_msgs);
     const auto t1 = Clock::now();
     if (r == 0) {
       real = CopyStats::instance().snapshot();
@@ -125,14 +131,14 @@ int main(int argc, char** argv) {
     plain[r].wall_s = std::chrono::duration<double>(t1 - t0).count();
     plain[r].sim_s = sim::to_seconds(eng.now() - sim_start);
 
-    cluster.fabric().tracer().enable();
+    fabric.tracer().enable();
     bench::alloc_hook_reset();
     const auto t2 = Clock::now();
-    traced[r].events = stream(eng, tx, rx, got, ByteSpan{msg}, n_msgs);
+    traced[r].events = stream(cluster, tx, rx, got, ByteSpan{msg}, n_msgs);
     const auto t3 = Clock::now();
     traced[r].allocs = bench::alloc_hook_count();
     traced[r].wall_s = std::chrono::duration<double>(t3 - t2).count();
-    cluster.fabric().tracer().disable();
+    fabric.tracer().disable();
   }
 
   std::vector<double> eps, beps, teps;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using mpi::MpiFm2;
@@ -103,21 +104,23 @@ Task<void> rank_program(MpiFm2& comm, RunResult& out) {
 }
 
 RunResult run_sim(bool nic_collectives) {
-  sim::Engine engine;
-  net::Cluster cluster(engine, net::ppro_fm2_cluster(kRanks));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(kRanks), 1);
+  sim::Engine& engine = cluster.shard_engine(0);
   mpi::MpiFm2Options opt;
   opt.nic_collectives = nic_collectives;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<MpiFm2>> comms;
   for (int r = 0; r < kRanks; ++r) {
-    comms.push_back(
-        std::make_unique<MpiFm2>(cluster, r, fm2::Config{}, opt));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(r),
+                                                  cluster.fabric_of(r)));
+    comms.push_back(std::make_unique<MpiFm2>(*eps.back(), opt));
   }
   RunResult out;
   std::printf("%s collectives:\n", nic_collectives ? "NIC" : "host");
   for (int r = 0; r < kRanks; ++r) {
-    engine.spawn(rank_program(*comms[r], out));
+    cluster.spawn_on(r, rank_program(*comms[r], out));
   }
-  engine.run();
+  cluster.run();
   out.sim_ms = sim::to_us(engine.now()) / 1000.0;
   out.sends = comms[0]->stats().sends;
   for (const auto& c : comms) out.handler_starts += c->fm().stats().handler_starts;

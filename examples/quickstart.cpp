@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "trace/export.hpp"
 
 using namespace fmx;
@@ -90,27 +91,28 @@ Task<void> receiver(Endpoint& ep) {
 }  // namespace
 
 int main() {
-  sim::Engine engine;
-  // The calibrated FM 2.x platform: 200 MHz Pentium Pro + PCI + Myrinet.
-  net::Cluster cluster(engine, net::ppro_fm2_cluster(/*n_hosts=*/2));
-  Endpoint node0(cluster, 0);
-  Endpoint node1(cluster, 1);
+  // The calibrated FM 2.x platform: 200 MHz Pentium Pro + PCI + Myrinet,
+  // simulated on one shard (one engine, one fabric).
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(/*n_hosts=*/2), 1);
+  net::Fabric& fabric = cluster.fabric_of(0);
+  Endpoint node0(cluster.node(0), fabric);
+  Endpoint node1(cluster.node(1), fabric);
   node1.register_handler(kHello, hello_handler);
 
   const char* trace_path = trace::env_trace_path();
-  if (trace_path) cluster.fabric().tracer().enable();
+  if (trace_path) fabric.tracer().enable();
 
-  engine.spawn(sender(node0));
-  engine.spawn(receiver(node1));
-  engine.run();
+  cluster.spawn_on(0, sender(node0));
+  cluster.spawn_on(1, receiver(node1));
+  cluster.run();
 
   std::printf("simulated time: %.2f us, wire packets: %llu\n",
-              sim::to_us(engine.now()),
-              static_cast<unsigned long long>(cluster.fabric().stats().packets));
+              sim::to_us(cluster.shard_engine(0).now()),
+              static_cast<unsigned long long>(fabric.stats().packets));
   if (trace_path) {
-    if (trace::write_chrome_trace(cluster.fabric().tracer(), trace_path)) {
+    if (trace::write_chrome_trace(fabric.tracer(), trace_path)) {
       std::printf("trace written to %s (%zu events)\n", trace_path,
-                  cluster.fabric().tracer().size());
+                  fabric.tracer().size());
     } else {
       std::fprintf(stderr, "failed to write trace to %s\n", trace_path);
       return 1;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/random.hpp"
 
 using namespace fmx;
@@ -137,14 +138,15 @@ Task<void> client_program(Client& c, int me) {
 }  // namespace
 
 int main() {
-  sim::Engine engine;
-  net::Cluster cluster(engine, net::ppro_fm2_cluster(4));
-  Endpoint server_ep(cluster, 0);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(4), 1);
+  sim::Engine& engine = cluster.shard_engine(0);
+  Endpoint server_ep(cluster.node(0), cluster.fabric_of(0));
   Server server(server_ep);
   std::vector<std::unique_ptr<Endpoint>> client_eps;
   std::vector<std::unique_ptr<Client>> clients;
   for (int i = 1; i < 4; ++i) {
-    client_eps.push_back(std::make_unique<Endpoint>(cluster, i));
+    client_eps.push_back(
+        std::make_unique<Endpoint>(cluster.node(i), cluster.fabric_of(i)));
     clients.push_back(std::make_unique<Client>(*client_eps.back()));
   }
   for (int i = 0; i < 3; ++i) {
@@ -158,7 +160,7 @@ int main() {
     while (g_done < 3) co_await e.delay(sim::ms(1));
     srv.kick();
   }(engine, server_ep));
-  engine.run();
+  cluster.run();
 
   std::printf("\nserver handled %d puts, %d gets; store holds %zu keys\n",
               server.puts, server.gets, server.store.size());

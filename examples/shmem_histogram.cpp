@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ga/global_array.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "shmem/shmem.hpp"
 #include "sim/random.hpp"
 
@@ -56,12 +57,15 @@ Task<void> pe_program(ShmemCtx& me, ga::GlobalArray& g) {
 }  // namespace
 
 int main() {
-  sim::Engine engine;
-  net::Cluster cluster(engine, net::ppro_fm2_cluster(kPes));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(kPes), 1);
+  sim::Engine& engine = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<ShmemCtx>> pes;
   std::vector<std::unique_ptr<ga::GlobalArray>> gas;
   for (int p = 0; p < kPes; ++p) {
-    pes.push_back(std::make_unique<ShmemCtx>(cluster, p));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(p),
+                                                  cluster.fabric_of(p)));
+    pes.push_back(std::make_unique<ShmemCtx>(*eps.back()));
     std::memset(pes[p]->heap().data(), 0, pes[p]->heap().size());
     gas.push_back(
         std::make_unique<ga::GlobalArray>(*pes[p], kGaRows, kGaCols,
@@ -79,7 +83,7 @@ int main() {
     }
     for (auto& pe : ps) pe->kick();
   }(engine, pes));
-  engine.run();
+  cluster.run();
 
   // Validate: the histogram bins must sum to the total sample count.
   std::int64_t total = 0;

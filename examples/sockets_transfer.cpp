@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "myrinet/parallel_cluster.hpp"
 #include "sockets/socket_fm.hpp"
 
 using namespace fmx;
@@ -81,14 +82,16 @@ Task<void> client(SocketFm& stack) {
 }  // namespace
 
 int main() {
-  sim::Engine engine;
-  net::Cluster cluster(engine, net::ppro_fm2_cluster(2));
-  SocketFm client_stack(cluster, 0);
-  SocketFm server_stack(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  sim::Engine& engine = cluster.shard_engine(0);
+  fm2::Endpoint client_ep(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint server_ep(cluster.node(1), cluster.fabric_of(1));
+  SocketFm client_stack(client_ep);
+  SocketFm server_stack(server_ep);
 
   engine.spawn(server(server_stack));
   engine.spawn(client(client_stack));
-  engine.run();
+  cluster.run();
 
   std::printf("simulated time: %.2f ms\n", sim::to_us(engine.now()) / 1e3);
   return g_ok && engine.pending_roots() == 0 ? 0 : 1;

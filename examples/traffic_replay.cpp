@@ -14,6 +14,7 @@
 
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/random.hpp"
 #include "workload/traffic.hpp"
 
@@ -36,12 +37,15 @@ struct ReplayResult {
   int messages;
 };
 
-template <typename MpiT>
+// MpiT layers over an EndpointT (fm1::Endpoint or fm2::Endpoint).
+template <typename EndpointT, typename MpiT>
 ReplayResult replay(const net::ClusterParams& platform,
                     const std::vector<std::size_t>& sizes) {
-  sim::Engine engine;
-  net::Cluster cluster(engine, platform);
-  MpiT tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(platform, 1);
+  sim::Engine& engine = cluster.shard_engine(0);
+  EndpointT ep0(cluster.node(0), cluster.fabric_of(0));
+  EndpointT ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT tx(ep0), rx(ep1);
 
   sim::Ps t_end = 0;
   engine.spawn([](Comm& c, const std::vector<std::size_t>& sz) -> Task<void> {
@@ -61,7 +65,7 @@ ReplayResult replay(const net::ClusterParams& platform,
     }
     end = e.now();
   }(engine, rx, sizes, t_end));
-  engine.run();
+  cluster.run();
 
   ReplayResult r;
   r.seconds = sim::to_seconds(t_end);
@@ -86,8 +90,10 @@ int main() {
               kMessages, total, double(total) / kMessages,
               100.0 * shorties / kMessages);
 
-  auto r1 = replay<mpi::MpiFm1>(net::sparc_fm1_cluster(2), sizes);
-  auto r2 = replay<mpi::MpiFm2>(net::ppro_fm2_cluster(2), sizes);
+  auto r1 = replay<fm1::Endpoint, mpi::MpiFm1>(net::sparc_fm1_cluster(2),
+                                               sizes);
+  auto r2 = replay<fm2::Endpoint, mpi::MpiFm2>(net::ppro_fm2_cluster(2),
+                                               sizes);
 
   std::printf("%-28s %12s %14s %14s\n", "stack", "time (ms)", "msg/s",
               "delivered BW");

@@ -23,9 +23,9 @@ checks the sharded engine against BENCH_parallel.json:
     --min-events-per-window (default 50) at every thread count: batched
     windows are the whole point of the published-horizon scheduler, and a
     regression to ~lookahead-sized quanta shows up here first,
-  - "serial-mode regression": the sharded cluster at 1 thread must stay
-    within --max-shard-tax percent (default 5) of the single-engine serial
-    simulator measured in the SAME run — a machine-independent ratio,
+  - "shard tax": the 8-shard cluster at 1 thread must stay within
+    --max-shard-tax percent (default 5) of the 1-shard cluster measured in
+    the SAME run — a machine-independent ratio,
   - speedup at 4 threads must reach --min-speedup (default 1.5x), enforced
     only when the machine actually has >= 4 CPUs; on smaller machines the
     check is reported and skipped (a worker pool cannot speed up a
@@ -256,15 +256,15 @@ def check_parallel(args) -> bool:
                       file=sys.stderr)
                 ok = False
 
-    # Serial-mode regression: same run, same machine, so the tolerance can
-    # be tight. shard_tax is (serial - parallel@1t)/serial; negative means
-    # the sharded path is faster than the single heap, which is fine.
+    # Shard tax: same run, same machine, so the tolerance can be tight.
+    # shard_tax is (1-shard - 8-shard@1t)/1-shard; negative means the
+    # sharded run is faster than the 1-shard cluster, which is fine.
     tax = cur.get("shard_tax_pct", 0.0)
     print(f"bench_check: shard tax at 1 thread {tax:+.1f}% "
           f"(max {args.max_shard_tax:g}%)")
     if tax > args.max_shard_tax:
         print("bench_check: REGRESSION: 1-thread sharded run fell more "
-              f"than {args.max_shard_tax:g}% behind the serial engine",
+              f"than {args.max_shard_tax:g}% behind the 1-shard cluster",
               file=sys.stderr)
         ok = False
 
@@ -575,7 +575,7 @@ def main() -> int:
                          "(default: %(default)s)")
     ap.add_argument("--max-shard-tax", type=float, default=5.0,
                     help="max %% the 1-thread sharded run may trail the "
-                         "serial engine (default: %(default)s)")
+                         "1-shard cluster (default: %(default)s)")
     ap.add_argument("--msgs", type=int, default=500,
                     help="messages to stream in the substrate gate "
                          "(default: %(default)s)")

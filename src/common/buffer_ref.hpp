@@ -15,10 +15,10 @@
 //    32-bit compare instead of re-hashing the payload.
 //
 // Blocks come from a BufferPool (intrusive header, steady state stays
-// allocation-free) or stand alone (copy_of, used by tests and the Bytes
-// compatibility shims). Refcounts are intentionally non-atomic: a block's
-// references never cross shard threads — the cross-shard SPSC path copies
-// the bytes and drops the source reference at the boundary.
+// allocation-free) or stand alone (copy_of). Refcounts are intentionally
+// non-atomic: a block's references never cross shard threads — the
+// cross-shard SPSC path copies the bytes and drops the source reference at
+// the boundary.
 #pragma once
 
 #include <cassert>
@@ -160,8 +160,8 @@ class BufferRef {
     return crc32(span());
   }
 
-  /// Free-standing deep copy (not pool-backed); compatibility shim for
-  /// call sites that still hand over Bytes.
+  /// Free-standing deep copy (not pool-backed) of caller bytes, for
+  /// payloads built outside any pool, such as test fixtures.
   static BufferRef copy_of(ByteSpan src);
 
   /// Borrow caller-owned memory with ZERO physical copy: the returned ref

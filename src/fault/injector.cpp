@@ -64,22 +64,6 @@ sim::Ps PlanInjector::rx_pacing(int /*nic_id*/) {
   return jittered(p.rx, p.rx_jitter);
 }
 
-void arm(net::Cluster& cluster, PlanInjector& injector) {
-  cluster.fabric().set_fault(&injector);
-  for (int i = 0; i < cluster.size(); ++i) {
-    cluster.node(i).nic().set_fault(&injector);
-    cluster.node(i).bus().set_fault(&injector);
-  }
-}
-
-void disarm(net::Cluster& cluster) {
-  cluster.fabric().set_fault(nullptr);
-  for (int i = 0; i < cluster.size(); ++i) {
-    cluster.node(i).nic().set_fault(nullptr);
-    cluster.node(i).bus().set_fault(nullptr);
-  }
-}
-
 std::vector<std::unique_ptr<PlanInjector>> arm(net::ParallelCluster& cluster,
                                                const FaultPlan& plan) {
   std::vector<std::unique_ptr<PlanInjector>> out;
@@ -87,9 +71,9 @@ std::vector<std::unique_ptr<PlanInjector>> arm(net::ParallelCluster& cluster,
   for (int s = 0; s < cluster.n_shards(); ++s) {
     FaultPlan shard_plan = plan;
     // Golden-ratio mix keeps per-shard streams decorrelated while staying a
-    // pure function of (plan seed, shard index).
+    // pure function of (plan seed, shard index); shard 0 keeps the seed.
     shard_plan.seed =
-        plan.seed ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(s + 1));
+        plan.seed ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(s));
     out.push_back(std::make_unique<PlanInjector>(cluster.shard_engine(s),
                                                  std::move(shard_plan)));
     cluster.shard_fabric(s).set_fault(out.back().get());

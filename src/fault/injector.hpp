@@ -1,8 +1,9 @@
 // Deterministic FaultPlan interpreter. One PlanInjector is shared by every
-// fault seam of a cluster (fabric delivery, NIC pacing, per-node I/O
-// buses); because the event engine is single-threaded and deterministic,
-// the injector's RNG draws happen in a reproducible order, so
-// (plan, seed, workload) fully determines every injected fault.
+// fault seam of a shard (fabric-replica delivery, NIC pacing, per-node I/O
+// buses); because each shard's event engine is single-threaded and
+// deterministic, the injector's RNG draws happen in a reproducible order,
+// so (plan, seed, shard count, workload) fully determines every injected
+// fault.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 
 #include "fault/plan.hpp"
 #include "myrinet/fault_hooks.hpp"
-#include "myrinet/node.hpp"
 #include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -54,18 +54,14 @@ class PlanInjector final : public net::FaultInjector {
   Stats stats_;
 };
 
-/// Wire one injector through every fault seam of a cluster: the fabric,
-/// each NIC's control programs, and each node's I/O bus. The injector must
-/// outlive the traffic; call disarm() to detach it.
-void arm(net::Cluster& cluster, PlanInjector& injector);
-void disarm(net::Cluster& cluster);
-
-/// Parallel clusters get one injector per shard, armed on that shard's
-/// fabric replica and nodes so every RNG draw stays shard-local (fault-hook
-/// routing to the owning shard). Each shard's seed mixes the plan seed with
-/// the shard index, and shard assignment is fixed per cluster, so the fault
-/// sequence is deterministic and independent of thread count. The returned
-/// injectors must outlive the traffic.
+/// Wire one injector per shard through every fault seam of a cluster: the
+/// shard's fabric replica, each NIC's control programs, and each node's
+/// I/O bus, so every RNG draw stays shard-local. Shard s draws from the
+/// plan seed mixed with s (shard 0 draws the plan seed itself, so a 1-shard
+/// cluster replays the plan's own fault sequence), and shard assignment is
+/// fixed per cluster, so the fault sequence is deterministic and
+/// independent of thread count. The returned injectors must outlive the
+/// traffic; call disarm() to detach them.
 std::vector<std::unique_ptr<PlanInjector>> arm(net::ParallelCluster& cluster,
                                                const FaultPlan& plan);
 void disarm(net::ParallelCluster& cluster);

@@ -140,7 +140,7 @@ void InvariantLedger::check_host_ledger(const net::Host& host, int id) {
   }
 }
 
-void InvariantLedger::check_cluster(net::Cluster& cluster) {
+void InvariantLedger::check_cluster(net::ParallelCluster& cluster) {
   for (int i = 0; i < cluster.size(); ++i) {
     check_nic(cluster.node(i).nic());
     check_host_ledger(cluster.node(i).host(), i);

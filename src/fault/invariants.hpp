@@ -26,7 +26,7 @@
 
 #include "common/buffer.hpp"
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/ledger.hpp"
 
@@ -50,7 +50,7 @@ class InvariantLedger {
   /// CostLedger self-consistency for one host.
   void check_host_ledger(const net::Host& host, int id);
   /// check_nic + check_host_ledger for every node.
-  void check_cluster(net::Cluster& cluster);
+  void check_cluster(net::ParallelCluster& cluster);
   /// FM2 credit/window conservation for traffic sender -> receiver, plus
   /// no parked or backlogged packets left on the receiver.
   void check_fm2_pair(const fm2::Endpoint& sender,

@@ -22,12 +22,13 @@ constexpr sim::Ps kStagingAllocCost = sim::ns(500);
 
 }  // namespace
 
-Endpoint::Endpoint(net::Cluster& cluster, int node_id, Config cfg)
-    : cluster_(cluster),
-      node_(cluster.node(node_id)),
+Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
+    : fabric_(fabric),
+      node_(node),
       cfg_(cfg),
-      n_hosts_(cluster.size()),
-      credit_cv_(cluster.engine()) {
+      n_hosts_(fabric.n_hosts()),
+      credit_cv_(node.host().engine()) {
+  const int node_id = node_.id();
   const auto& nic = node_.nic().params();
   assert(nic.mtu_payload > sizeof(PacketHeader));
   seg_ = nic.mtu_payload - sizeof(PacketHeader);

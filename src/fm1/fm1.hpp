@@ -53,7 +53,11 @@ using PacketType = wire::PacketType;
 
 class Endpoint {
  public:
-  Endpoint(net::Cluster& cluster, int node_id, Config cfg = {});
+  /// Bind to a node and the fabric (replica) it is attached to. An
+  /// endpoint only ever touches its own node plus that fabric's
+  /// pool/tracer, so it is naturally shard-local (see
+  /// myrinet/parallel_cluster.hpp).
+  Endpoint(net::Node& node, net::Fabric& fabric, Config cfg = {});
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
@@ -80,8 +84,8 @@ class Endpoint {
   int cluster_size() const noexcept { return n_hosts_; }
   net::Host& host() noexcept { return node_.host(); }
   std::size_t max_payload_per_packet() const noexcept { return seg_; }
-  /// Cluster-wide tracer (owned by the fabric).
-  trace::Tracer& tracer() noexcept { return cluster_.fabric().tracer(); }
+  /// Cluster-wide tracer (owned by the fabric this endpoint attaches to).
+  trace::Tracer& tracer() noexcept { return fabric_.tracer(); }
 
   struct Stats {
     std::uint64_t msgs_sent = 0;
@@ -124,9 +128,9 @@ class Endpoint {
   void slot_freed(int src);
   sim::Task<void> maybe_return_credits(int dest);
   /// Cluster-wide packet-buffer pool (owned by the fabric).
-  BufferPool& pool() noexcept { return cluster_.fabric().pool(); }
+  BufferPool& pool() noexcept { return fabric_.pool(); }
 
-  net::Cluster& cluster_;
+  net::Fabric& fabric_;
   net::Node& node_;
   Config cfg_;
   int n_hosts_;

@@ -106,9 +106,6 @@ void RecvStream::discard_all_queued() {
 // ---------------------------------------------------------------------------
 // Endpoint: construction and send side
 
-Endpoint::Endpoint(net::Cluster& cluster, int node_id, Config cfg)
-    : Endpoint(cluster.node(node_id), cluster.fabric(), cfg) {}
-
 Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
     : fabric_(fabric),
       node_(node),

@@ -203,11 +203,10 @@ struct Config {
 
 class Endpoint {
  public:
-  Endpoint(net::Cluster& cluster, int node_id, Config cfg = {});
-  /// Shard-aware form: bind to a node and the fabric (replica) it is
-  /// attached to. This is the constructor parallel runs use — an endpoint
-  /// only ever touches its own node plus that fabric's pool/tracer, so it
-  /// is naturally shard-local (see myrinet/parallel_cluster.hpp).
+  /// Bind to a node and the fabric (replica) it is attached to. An
+  /// endpoint only ever touches its own node plus that fabric's
+  /// pool/tracer, so it is naturally shard-local (see
+  /// myrinet/parallel_cluster.hpp).
   Endpoint(net::Node& node, net::Fabric& fabric, Config cfg = {});
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;

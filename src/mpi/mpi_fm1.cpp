@@ -16,14 +16,7 @@ constexpr sim::Ps kTempAllocCost = sim::ns(1'500);  // pool/malloc management
 constexpr sim::Ps kRequestCost = sim::ns(500);
 }  // namespace
 
-MpiFm1::MpiFm1(net::Cluster& cluster, int node_id, fm1::Config fm_cfg)
-    : owned_(std::make_unique<fm1::Endpoint>(cluster, node_id, fm_cfg)),
-      fm_(*owned_) {
-  fm_.register_handler(kMpiHandler,
-                       [this](int src, ByteSpan d) { on_message(src, d); });
-}
-
-MpiFm1::MpiFm1(fm1::Endpoint& shared) : fm_(shared) {
+MpiFm1::MpiFm1(fm1::Endpoint& fm) : fm_(fm) {
   fm_.register_handler(kMpiHandler,
                        [this](int src, ByteSpan d) { on_message(src, d); });
 }

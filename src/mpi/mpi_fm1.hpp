@@ -19,10 +19,9 @@ namespace fmx::mpi {
 
 class MpiFm1 : public Comm {
  public:
-  /// Standalone: owns its FM endpoint.
-  MpiFm1(net::Cluster& cluster, int node_id, fm1::Config fm_cfg = {});
-  /// Layered: share one FM 1.x endpoint with other libraries.
-  explicit MpiFm1(fm1::Endpoint& shared);
+  /// Layer MPI over an FM 1.x endpoint, which other libraries may share.
+  /// The endpoint must outlive this object.
+  explicit MpiFm1(fm1::Endpoint& fm);
 
   int rank() const override { return fm_.id(); }
   int size() const override { return fm_.cluster_size(); }
@@ -44,7 +43,6 @@ class MpiFm1 : public Comm {
   void on_message(int src, ByteSpan data);
   void complete(RequestState& st, int src, int tag, std::size_t count);
 
-  std::unique_ptr<fm1::Endpoint> owned_;
   fm1::Endpoint& fm_;
   Matcher matcher_;
   std::uint64_t send_seq_ = 0;

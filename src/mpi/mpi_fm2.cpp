@@ -41,19 +41,7 @@ std::uint64_t rdzv_key(int src, std::uint64_t id) {
 }
 }  // namespace
 
-MpiFm2::MpiFm2(net::Cluster& cluster, int node_id, fm2::Config fm_cfg,
-               MpiFm2Options opt)
-    : owned_(std::make_unique<fm2::Endpoint>(cluster, node_id, fm_cfg)),
-      fm_(*owned_),
-      opt_(opt) {
-  fm_.register_handler(kMpiHandler,
-                       [this](fm2::RecvStream& s, int src) {
-                         return on_message(s, src);
-                       });
-}
-
-MpiFm2::MpiFm2(fm2::Endpoint& shared, MpiFm2Options opt)
-    : fm_(shared), opt_(opt) {
+MpiFm2::MpiFm2(fm2::Endpoint& fm, MpiFm2Options opt) : fm_(fm), opt_(opt) {
   fm_.register_handler(kMpiHandler,
                        [this](fm2::RecvStream& s, int src) {
                          return on_message(s, src);

@@ -53,13 +53,10 @@ struct MpiFm2Options {
 
 class MpiFm2 : public Comm {
  public:
-  /// Standalone: owns its FM endpoint.
-  MpiFm2(net::Cluster& cluster, int node_id, fm2::Config fm_cfg = {},
-         MpiFm2Options opt = {});
-  /// Layered: share one FM endpoint per process with other libraries
-  /// (sockets, shmem, ...), each owning its handler ids — how the real FM
-  /// was used. The endpoint must outlive this object.
-  explicit MpiFm2(fm2::Endpoint& shared, MpiFm2Options opt = {});
+  /// Layer MPI over an FM endpoint, which other libraries (sockets, shmem,
+  /// ...) may share, each owning its handler ids — how the real FM was
+  /// used. The endpoint must outlive this object.
+  explicit MpiFm2(fm2::Endpoint& fm, MpiFm2Options opt = {});
 
   int rank() const override { return fm_.id(); }
   int size() const override { return fm_.cluster_size(); }
@@ -149,7 +146,6 @@ class MpiFm2 : public Comm {
   /// same call, so all ranks join before any operation proceeds.
   sim::Task<void> ensure_coll_group();
 
-  std::unique_ptr<fm2::Endpoint> owned_;
   fm2::Endpoint& fm_;
   MpiFm2Options opt_;
   Matcher matcher_;  // posted queue only; unexpected_ replaces its queue

@@ -36,11 +36,6 @@ struct SendDescriptor {
         payload(std::move(payload_)),
         fetch_dma(fetch_dma_),
         on_fetched(std::move(on_fetched_)) {}
-  // Compatibility shim for Bytes producers (tests/examples).
-  SendDescriptor(int dst_, Bytes payload_, bool fetch_dma_,
-                 std::function<void()> on_fetched_ = {})
-      : SendDescriptor(dst_, BufferRef::copy_of(ByteSpan{payload_}),
-                       fetch_dma_, std::move(on_fetched_)) {}
 
   int dst = -1;
   BufferRef payload;

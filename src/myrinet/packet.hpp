@@ -82,12 +82,6 @@ struct WirePacket {
     return p;
   }
 
-  // Compatibility shim for call sites still assembling a Bytes payload
-  // (tests, examples): wraps it in a free-standing block.
-  static WirePacket make(int src, int dst, Bytes payload) {
-    return make(src, dst, BufferRef::copy_of(ByteSpan{payload}));
-  }
-
   /// Remote-write packet: `payload` is typically a borrowed subslice of the
   /// sender's pinned user buffer.
   static WirePacket make_rdma(int src, int dst, BufferRef payload,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <string>
 
 namespace fmx::net {
 namespace {
@@ -54,6 +55,54 @@ std::vector<sim::Ps> shard_lookahead(const std::vector<sim::Ps>& sl_host,
     for (int d = 0; d < k; ++d) row[d] = std::min(row[d], sl_host[a * k + d]);
   }
   return la;
+}
+
+// Bind a fabric's and its buffer pool's live counters into a tracer's
+// metrics registry so tests and benches can query them by name. Views
+// only: the hot paths keep bumping plain fields.
+void expose_fabric_metrics(trace::MetricsRegistry& m, Fabric& f) {
+  const Fabric::Stats& fs = f.stats();
+  m.expose("fabric.packets", &fs.packets);
+  m.expose("fabric.payload_bytes", &fs.payload_bytes);
+  m.expose("fabric.corrupted", &fs.corrupted);
+  m.expose("fabric.dropped", &fs.dropped);
+  m.expose("fabric.duplicated", &fs.duplicated);
+  m.expose("fabric.delayed", &fs.delayed);
+  const BufferPool::Stats& ps = f.pool().stats();
+  m.expose("pool.acquires", &ps.acquires);
+  m.expose("pool.hits", &ps.pool_hits);
+  m.expose("pool.misses", &ps.fresh_allocs);
+  m.expose("pool.releases", &ps.releases);
+}
+
+// Per-node NIC, host-ledger and registration-cache counters, named
+// "node<id>.<layer>.<counter>".
+void expose_node_metrics(trace::MetricsRegistry& m, Node& n) {
+  const std::string pre = "node" + std::to_string(n.id()) + ".";
+  const Nic::Stats& ns = n.nic().stats();
+  m.expose(pre + "nic.tx_packets", &ns.tx_packets);
+  m.expose(pre + "nic.rx_packets", &ns.rx_packets);
+  m.expose(pre + "nic.crc_dropped", &ns.crc_dropped);
+  m.expose(pre + "nic.retransmissions", &ns.retransmissions);
+  m.expose(pre + "nic.acks_sent", &ns.acks_sent);
+  m.expose(pre + "nic.seq_dropped", &ns.seq_dropped);
+  m.expose(pre + "nic.coll_rx_packets", &ns.coll_rx_packets);
+  m.expose(pre + "nic.coll_combines", &ns.coll_combines);
+  m.expose(pre + "nic.coll_forwards", &ns.coll_forwards);
+  m.expose(pre + "nic.coll_completions", &ns.coll_completions);
+  m.expose(pre + "nic.coll_orphaned", &ns.coll_orphaned);
+  m.expose(pre + "nic.coll_stale", &ns.coll_stale);
+  const sim::CostLedger& hl = n.host().ledger();
+  m.expose(pre + "host.copies", hl.copies_cell());
+  m.expose(pre + "host.copied_bytes", hl.copied_bytes_cell());
+  m.expose(pre + "host.pool_misses", hl.allocs_cell());
+  m.expose(pre + "host.pool_miss_bytes", hl.alloc_bytes_cell());
+  const RegCache::Stats& rs = n.host().reg_cache().stats();
+  m.expose(pre + "regcache.hits", &rs.hits);
+  m.expose(pre + "regcache.misses", &rs.misses);
+  m.expose(pre + "regcache.evictions", &rs.evictions);
+  m.expose(pre + "regcache.coalesces", &rs.coalesces);
+  m.expose(pre + "regcache.pinned_bytes", &rs.pinned_bytes);
 }
 
 }  // namespace
@@ -120,7 +169,7 @@ ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
   // worst case (up to the pool's retention limit) keeps the steady-state
   // data path off the allocator at any interleaving. A 1-shard cluster
   // has no cross-shard timing: its warm-up wave reaches the high water,
-  // as a serial run does, so it skips this.
+  // so it skips this.
   const int prewarm_shards = n_shards_ > 1 ? n_shards_ : 0;
   for (int s = 0; s < prewarm_shards; ++s) {
     const int hosts = shard_begin_[s + 1] - shard_begin_[s];

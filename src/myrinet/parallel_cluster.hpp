@@ -17,21 +17,24 @@
 // meet only through published horizons and the engine's mailboxes.
 // Per-shard traces merge deterministically via trace::merge_streams.
 //
-// Note on fidelity vs the single-engine Cluster: back-pressure on a
-// cross-shard path is exerted at the destination's downlink (where the
-// STOP/GO signal physically originates) instead of at injection time, and
-// inter-switch links are arbitrated per source shard. Single-switch
-// clusters (n_hosts <= hosts_per_switch, e.g. the 8-node FM2 preset) have
-// no inter-switch links, so only the back-pressure timing differs from the
-// serial Cluster; results are bit-identical across thread counts at a fixed
-// shard count either way, with 1-thread parallel mode as the reference.
+// This is the only cluster type: a 1-shard cluster is the serial machine,
+// and its run() executes on the caller's thread.
+//
+// Note on fidelity, 1 shard vs k shards: back-pressure on a cross-shard
+// path is exerted at the destination's downlink (where the STOP/GO signal
+// physically originates) instead of at injection time, and inter-switch
+// links are arbitrated per source shard. Single-switch clusters
+// (n_hosts <= hosts_per_switch, e.g. the 8-node FM2 preset) have no
+// inter-switch links, so only the back-pressure timing differs from the
+// 1-shard run; results are bit-identical across thread counts at a fixed
+// shard count either way.
 //
 // Workload code must keep its conditions node-local: a poll_until on one
-// node watching state mutated by another node's handler worked on the
-// single-engine Cluster (any event re-polls) but deadlocks here — once the
-// watcher's shard goes idle, nothing local wakes the poller. Have each
-// node wait on its own counters (run() reports such stuck tasks in
-// RunResult::pending_roots).
+// node watching state mutated by another node's handler works while both
+// nodes share a shard (any event there re-polls) but deadlocks once they
+// sit on different shards — when the watcher's shard goes idle, nothing
+// local wakes the poller. Have each node wait on its own counters (run()
+// reports such stuck tasks in RunResult::pending_roots).
 #pragma once
 
 #include <algorithm>

@@ -2,25 +2,14 @@
 
 #include <cassert>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 
 namespace fmx::shmem {
 
 using sim::Cost;
 
-ShmemCtx::ShmemCtx(net::Cluster& cluster, int node_id, Config cfg)
-    : owned_(std::make_unique<fm2::Endpoint>(cluster, node_id, cfg.fm)),
-      ep_(*owned_),
-      cfg_(cfg),
-      heap_(cfg.heap_bytes) {
-  ep_.register_handler(kShmemHandler, [this](fm2::RecvStream& s, int src) {
-    return on_message(s, src);
-  });
-}
-
-ShmemCtx::ShmemCtx(fm2::Endpoint& shared, Config cfg)
-    : ep_(shared), cfg_(cfg), heap_(cfg.heap_bytes) {
+ShmemCtx::ShmemCtx(fm2::Endpoint& ep, Config cfg)
+    : ep_(ep), cfg_(cfg), heap_(cfg.heap_bytes) {
   ep_.register_handler(kShmemHandler, [this](fm2::RecvStream& s, int src) {
     return on_message(s, src);
   });

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "fm2/fm2.hpp"
@@ -16,15 +15,13 @@ namespace fmx::shmem {
 
 struct Config {
   std::size_t heap_bytes = 1 << 20;
-  fm2::Config fm;
 };
 
 class ShmemCtx {
  public:
-  /// Standalone: owns its FM endpoint.
-  ShmemCtx(net::Cluster& cluster, int node_id, Config cfg = {});
-  /// Layered: share one FM endpoint per process with other libraries.
-  explicit ShmemCtx(fm2::Endpoint& shared, Config cfg = {});
+  /// Layer shmem over an FM endpoint, which other libraries may share.
+  /// The endpoint must outlive this object.
+  explicit ShmemCtx(fm2::Endpoint& ep, Config cfg = {});
 
   int pe() const noexcept { return ep_.id(); }
   int n_pes() const noexcept { return ep_.cluster_size(); }
@@ -88,7 +85,6 @@ class ShmemCtx {
   fm2::HandlerTask on_message(fm2::RecvStream& s, int src);
   sim::Task<void> send_header_only(int pe, const Header& h);
 
-  std::unique_ptr<fm2::Endpoint> owned_;
   fm2::Endpoint& ep_;
   Config cfg_;
   Bytes heap_;

@@ -11,17 +11,7 @@ namespace fmx::sock {
 
 using sim::Cost;
 
-SocketFm::SocketFm(net::Cluster& cluster, int node_id, Config cfg)
-    : owned_(std::make_unique<fm2::Endpoint>(cluster, node_id, cfg.fm)),
-      ep_(*owned_),
-      cfg_(cfg) {
-  ep_.register_handler(kSockHandler, [this](fm2::RecvStream& s, int src) {
-    return on_message(s, src);
-  });
-}
-
-SocketFm::SocketFm(fm2::Endpoint& shared, Config cfg)
-    : ep_(shared), cfg_(cfg) {
+SocketFm::SocketFm(fm2::Endpoint& ep, Config cfg) : ep_(ep), cfg_(cfg) {
   ep_.register_handler(kSockHandler, [this](fm2::RecvStream& s, int src) {
     return on_message(s, src);
   });

@@ -25,7 +25,6 @@ namespace fmx::sock {
 struct Config {
   /// Max payload carried per FM message (fragmentation unit).
   std::size_t max_fragment = 8 * 1024;
-  fm2::Config fm;
 };
 
 class SocketFm;
@@ -72,10 +71,9 @@ class Socket {
 
 class SocketFm {
  public:
-  /// Standalone: owns its FM endpoint.
-  SocketFm(net::Cluster& cluster, int node_id, Config cfg = {});
-  /// Layered: share one FM endpoint per process with other libraries.
-  explicit SocketFm(fm2::Endpoint& shared, Config cfg = {});
+  /// Layer sockets over an FM endpoint, which other libraries may share.
+  /// The endpoint must outlive this object.
+  explicit SocketFm(fm2::Endpoint& ep, Config cfg = {});
 
   /// Passive open: allow connections to `port`.
   void listen(int port);
@@ -116,7 +114,6 @@ class SocketFm {
                             int dst_conn);
   Socket* alloc_socket();
 
-  std::unique_ptr<fm2::Endpoint> owned_;
   fm2::Endpoint& ep_;
   Config cfg_;
   std::vector<std::unique_ptr<Socket>> socks_;

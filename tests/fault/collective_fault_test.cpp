@@ -20,7 +20,7 @@
 #include "fault/invariants.hpp"
 #include "fm2/fm2.hpp"
 #include "myrinet/coll.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "myrinet/packet.hpp"
 
 namespace fmx::fault {
@@ -110,16 +110,16 @@ struct SweepResult {
 SweepResult run_sweep(std::uint64_t seed, net::CollClass target) {
   constexpr int kN = 12;
   constexpr std::size_t kBcastBytes = 64;
-  Engine eng;
   auto params = net::ppro_fm2_cluster(kN);
   params.nic.reliable_link = true;
-  net::Cluster cl(eng, params);
+  net::ParallelCluster cl(params, 1);
+  Engine& eng = cl.shard_engine(0);
   CollClassInjector inj(eng, profile_for(seed), target);
-  cl.fabric().set_fault(&inj);
+  cl.fabric_of(0).set_fault(&inj);
 
   std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   for (int i = 0; i < kN; ++i) {
-    eps.push_back(std::make_unique<fm2::Endpoint>(cl, i));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i)));
   }
   net::CollGroupSpec spec;
   spec.id = 7;
@@ -176,7 +176,7 @@ SweepResult run_sweep(std::uint64_t seed, net::CollClass target) {
       ++out.completed_ranks;
     }(eng, *eps[i], spec, sub, i, seed, r, ByteSpan{bcast_src}));
   }
-  eng.run();
+  cl.run();
 
   InvariantLedger led;
   led.check_engine(eng);
@@ -199,7 +199,7 @@ SweepResult run_sweep(std::uint64_t seed, net::CollClass target) {
     }
   }
   r.events = eng.events_processed();
-  r.fabric = cl.fabric().stats();
+  r.fabric = cl.fabric_of(0).stats();
   r.inj = inj.stats();
   r.violations = led.violations();
   r.report = led.report();

@@ -21,7 +21,7 @@
 #include "common/crc32.hpp"
 #include "fault/injector.hpp"
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx {
@@ -108,16 +108,16 @@ TEST_P(CowSeeds, RandomSliceMutationsNeverLeakIntoSiblings) {
 // retransmit garbage forever (the run would not deliver exactly kMsgs).
 TEST_P(CowSeeds, CorruptedDuplicatesNeverPoisonRetransmission) {
   const std::uint64_t seed = GetParam();
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
   params.nic.reliable_link = true;
-  net::Cluster cl(eng, params);
+  net::ParallelCluster cl(params, 1);
+  Engine& eng = cl.shard_engine(0);
   fault::FaultPlan plan = fault::FaultPlan::lossy(0.05, seed);
   plan.wire.duplicate = 0.10;  // lots of shared-block siblings in flight
-  fault::PlanInjector inj(eng, plan);
-  fault::arm(cl, inj);
+  auto injectors = fault::arm(cl, plan);
 
-  fm2::Endpoint tx(cl, 0), rx(cl, 1);
+  fm2::Endpoint tx(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint rx(cl.node(1), cl.fabric_of(1));
   constexpr int kMsgs = 60;
   const std::size_t seg = tx.max_payload_per_packet();
   int got = 0;
@@ -144,12 +144,13 @@ TEST_P(CowSeeds, CorruptedDuplicatesNeverPoisonRetransmission) {
   eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == kMsgs; });
   }(rx, got));
-  eng.run();
+  cl.run();
 
   EXPECT_EQ(got, kMsgs) << "seed " << seed;
   EXPECT_EQ(mismatches, 0) << "seed " << seed
                            << ": corrupted payload reached a handler";
-  EXPECT_GT(inj.stats().corruptions + inj.stats().duplicates, 0u)
+  const fault::PlanInjector::Stats& inj = injectors[0]->stats();
+  EXPECT_GT(inj.corruptions + inj.duplicates, 0u)
       << "seed " << seed << ": sweep did not exercise the COW seam";
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,7 +16,7 @@
 #include "fault/injector.hpp"
 #include "fault/invariants.hpp"
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::fault {
@@ -60,12 +61,28 @@ struct SweepResult {
   std::string report;
 };
 
+// Injector counters summed over every shard's injector.
+PlanInjector::Stats total_stats(
+    const std::vector<std::unique_ptr<PlanInjector>>& injectors) {
+  PlanInjector::Stats t;
+  for (const auto& inj : injectors) {
+    const PlanInjector::Stats& s = inj->stats();
+    t.packets_seen += s.packets_seen;
+    t.drops += s.drops;
+    t.duplicates += s.duplicates;
+    t.corruptions += s.corruptions;
+    t.reorders += s.reorders;
+    t.bus_stalls += s.bus_stalls;
+  }
+  return t;
+}
+
 // One complete experiment: 2-node cluster with go-back-N link reliability,
 // a seeded fault plan armed through every seam, and an FM2 message-size
-// grid hitting the MTU±1 boundaries in each active direction. Returns the
-// full observable state so callers can assert determinism field-by-field.
-SweepResult run_sweep(std::uint64_t seed) {
-  Engine eng;
+// grid hitting the MTU±1 boundaries in each active direction. At 2 shards
+// each node owns a shard, so every packet crosses shards. Returns the full
+// observable state so callers can assert determinism field-by-field.
+SweepResult run_sweep(std::uint64_t seed, int shards = 1, int threads = 1) {
   auto params = net::ppro_fm2_cluster(2);
   params.nic.reliable_link = true;
   if (seed % 3 == 0) {
@@ -74,11 +91,10 @@ SweepResult run_sweep(std::uint64_t seed) {
     params.nic.host_ring_slots = 8;
     params.nic.sram_rx_slots = 4;
   }
-  net::Cluster cl(eng, params);
-  PlanInjector inj(eng, profile_for(seed));
-  arm(cl, inj);
-  fm2::Endpoint ep0(cl, 0), ep1(cl, 1);
-  InvariantLedger led;
+  net::ParallelCluster cl(params, shards);
+  auto injectors = arm(cl, profile_for(seed));
+  fm2::Endpoint ep0(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint ep1(cl.node(1), cl.fabric_of(1));
 
   const std::size_t mtu = params.nic.mtu_payload;
   const std::size_t seg = ep0.max_payload_per_packet();
@@ -86,41 +102,41 @@ SweepResult run_sweep(std::uint64_t seed) {
       1,           seg - 1, seg, seg + 1, 2 * seg - 1,
       2 * seg + 1, mtu - 1, mtu, mtu + 1, 2 * mtu + 1};
   const bool bidirectional = (seed % 2 == 1);
+  const int want = kRounds * static_cast<int>(sizes.size());
+  const std::uint64_t tag[2] = {1000 * seed, 1000 * seed + 500};
 
-  int got_at_1 = 0, got_at_0 = 0;
-  ep1.register_handler(0, [&](fm2::RecvStream& s, int src) -> fm2::HandlerTask {
-    Bytes buf(s.msg_bytes());
-    co_await s.receive(MutByteSpan{buf});
-    led.note_delivered(src, 1, ByteSpan{buf});
-    ++got_at_1;
-  });
-  ep0.register_handler(0, [&](fm2::RecvStream& s, int src) -> fm2::HandlerTask {
-    Bytes buf(s.msg_bytes());
-    co_await s.receive(MutByteSpan{buf});
-    led.note_delivered(src, 0, ByteSpan{buf});
-    ++got_at_0;
-  });
+  // Each node logs the payloads it received, touched only by its own
+  // shard; the ledger replays sends and logs after the run.
+  std::vector<Bytes> got_at[2];
+  for (fm2::Endpoint* ep : {&ep0, &ep1}) {
+    ep->register_handler(
+        0, [&log = got_at[ep->id()]](fm2::RecvStream& s,
+                                     int) -> fm2::HandlerTask {
+          Bytes buf(s.msg_bytes());
+          co_await s.receive(MutByteSpan{buf});
+          log.push_back(std::move(buf));
+        });
+  }
 
-  auto sender = [&led, &sizes](fm2::Endpoint& ep, int dst,
-                               std::uint64_t tag) -> Task<void> {
-    for (int k = 0; k < kRounds * static_cast<int>(sizes.size()); ++k) {
-      Bytes m = pattern_bytes(tag + k, sizes[k % sizes.size()]);
-      led.note_sent(ep.id(), dst, ByteSpan{m});
+  auto sender = [&sizes](fm2::Endpoint& ep, int dst, std::uint64_t base,
+                         int n) -> Task<void> {
+    for (int k = 0; k < n; ++k) {
+      Bytes m = pattern_bytes(base + k, sizes[k % sizes.size()]);
       co_await ep.send(dst, 0, ByteSpan{m});
     }
   };
-  const int want = kRounds * static_cast<int>(sizes.size());
-  eng.spawn(sender(ep0, 1, 1000 * seed));
-  eng.spawn([](fm2::Endpoint& ep, int& got, int n) -> Task<void> {
-    co_await ep.poll_until([&] { return got == n; });
-  }(ep1, got_at_1, want));
+  auto receiver = [](fm2::Endpoint& ep, const std::vector<Bytes>& log,
+                     int n) -> Task<void> {
+    co_await ep.poll_until(
+        [&log, n] { return log.size() == static_cast<std::size_t>(n); });
+  };
+  cl.spawn_on(0, sender(ep0, 1, tag[0], want));
+  cl.spawn_on(1, receiver(ep1, got_at[1], want));
   if (bidirectional) {
-    eng.spawn(sender(ep1, 0, 1000 * seed + 500));
-    eng.spawn([](fm2::Endpoint& ep, int& got, int n) -> Task<void> {
-      co_await ep.poll_until([&] { return got == n; });
-    }(ep0, got_at_0, want));
+    cl.spawn_on(1, sender(ep1, 0, tag[1], want));
+    cl.spawn_on(0, receiver(ep0, got_at[0], want));
   }
-  eng.run();
+  cl.run(threads);
 
   // Settle phase: absorb credit-return packets that landed after the last
   // extract (a send-only endpoint has no reason to keep polling). Extract
@@ -132,31 +148,49 @@ SweepResult run_sweep(std::uint64_t seed) {
         cl.node(1).nic().host_ring_depth() == 0) {
       break;
     }
-    eng.spawn([](fm2::Endpoint& ep) -> Task<void> {
-      (void)co_await ep.extract();
-    }(ep0));
-    eng.spawn([](fm2::Endpoint& ep) -> Task<void> {
-      (void)co_await ep.extract();
-    }(ep1));
-    eng.run();
+    for (fm2::Endpoint* ep : {&ep0, &ep1}) {
+      cl.spawn_on(ep->id(), [](fm2::Endpoint& e) -> Task<void> {
+        (void)co_await e.extract();
+      }(*ep));
+    }
+    cl.run(threads);
   }
 
+  InvariantLedger led;
+  for (int src = 0; src < (bidirectional ? 2 : 1); ++src) {
+    for (int k = 0; k < want; ++k) {
+      led.note_sent(src, 1 - src,
+                    ByteSpan{pattern_bytes(tag[src] + k,
+                                           sizes[k % sizes.size()])});
+    }
+  }
+  for (int dst = 0; dst < 2; ++dst) {
+    for (const Bytes& b : got_at[dst]) {
+      led.note_delivered(1 - dst, dst, ByteSpan{b});
+    }
+  }
   led.check_streams();
-  led.check_engine(eng);
+  for (int s = 0; s < cl.n_shards(); ++s) led.check_engine(cl.shard_engine(s));
   led.check_cluster(cl);
   led.check_fm2_pair(ep0, ep1);
   led.check_fm2_pair(ep1, ep0);
 
   SweepResult r;
-  r.events = eng.events_processed();
+  for (int s = 0; s < cl.n_shards(); ++s) {
+    r.events += cl.shard_engine(s).events_processed();
+  }
   r.delivered = led.messages_delivered();
-  r.fabric = cl.fabric().stats();
+  r.fabric = cl.fabric_stats();
   r.nic0 = cl.node(0).nic().stats();
   r.nic1 = cl.node(1).nic().stats();
-  r.inj = inj.stats();
+  r.inj = total_stats(injectors);
   r.violations = led.violations();
   r.report = led.report();
   return r;
+}
+
+std::uint64_t want_delivered(std::uint64_t seed) {
+  return kRounds * 10u * ((seed % 2 == 1) ? 2 : 1);
 }
 
 class FaultSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -172,8 +206,24 @@ TEST_P(FaultSweep, InvariantsHoldOverLossyFabric) {
   // covered by the next cumulative ack — so the "protocol actually worked"
   // assertion lives in RecoveryMachineryExercisedAcrossSeeds.)
   EXPECT_GT(r.inj.drops + r.inj.corruptions, 0u) << "seed " << seed;
-  const std::uint64_t want = kRounds * 10u * ((seed % 2 == 1) ? 2 : 1);
-  EXPECT_EQ(r.delivered, want) << "seed " << seed;
+  EXPECT_EQ(r.delivered, want_delivered(seed)) << "seed " << seed;
+}
+
+// The same seeds on a 2-shard cluster, where every packet, ack and credit
+// crosses shards: the invariants hold at 1 and 2 threads, and the thread
+// count changes nothing the simulation observes.
+TEST_P(FaultSweep, InvariantsHoldAcrossShards) {
+  const std::uint64_t seed = GetParam();
+  SweepResult one = run_sweep(seed, 2, 1);
+  SweepResult two = run_sweep(seed, 2, 2);
+  for (const SweepResult* r : {&one, &two}) {
+    EXPECT_TRUE(r->violations.empty())
+        << "seed " << seed << ":\n"
+        << r->report << "reproduce with run_sweep(" << seed << ", 2)";
+    EXPECT_GT(r->inj.drops + r->inj.corruptions, 0u) << "seed " << seed;
+    EXPECT_EQ(r->delivered, want_delivered(seed)) << "seed " << seed;
+  }
+  EXPECT_EQ(one.events, two.events) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultSweep,
@@ -231,20 +281,19 @@ TEST(FaultDetection, UnreliableLinkDropsAreObservedNotMasked) {
   // reliable_link OFF, same lossy profile: the stack above must be able to
   // SEE the damage — CRC drops counted, packets missing — rather than have
   // it silently corrupt data. Every payload that DOES arrive is intact.
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));  // reliable_link off
-  PlanInjector inj(eng, FaultPlan::lossy(0.03, 7));
-  arm(cl, inj);
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 1);  // reliable_link off
+  Engine& eng = cl.shard_engine(0);
+  auto injectors = arm(cl, FaultPlan::lossy(0.03, 7));
   constexpr int kN = 400;
   constexpr std::uint64_t kPattern = 42;
-  eng.spawn([](net::Cluster& c) -> Task<void> {
+  eng.spawn([](net::ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
-      co_await c.node(0).nic().enqueue(
-          net::SendDescriptor(1, pattern_bytes(kPattern, 512), true));
+      co_await c.node(0).nic().enqueue(net::SendDescriptor(
+          1, BufferRef::copy_of(ByteSpan{pattern_bytes(kPattern, 512)}), true));
     }
   }(cl));
   int got = 0;
-  eng.spawn_daemon([](net::Cluster& c, int& g) -> Task<void> {
+  eng.spawn_daemon([](net::ParallelCluster& c, int& g) -> Task<void> {
     for (;;) {
       net::RxPacket p = co_await c.node(1).nic().host_ring().pop();
       EXPECT_EQ(p.payload.size(), 512u);
@@ -252,9 +301,9 @@ TEST(FaultDetection, UnreliableLinkDropsAreObservedNotMasked) {
       ++g;
     }
   }(cl, got));
-  ASSERT_TRUE(test::run_to_exhaustion(eng));
-  EXPECT_GT(inj.stats().drops, 0u);
-  EXPECT_GT(inj.stats().corruptions, 0u);
+  ASSERT_TRUE(test::run_to_exhaustion(cl));
+  EXPECT_GT(injectors[0]->stats().drops, 0u);
+  EXPECT_GT(injectors[0]->stats().corruptions, 0u);
   EXPECT_LT(got, kN);  // losses are visible as missing packets...
   EXPECT_GT(cl.node(1).nic().stats().crc_dropped, 0u);  // ...and CRC counts
   EXPECT_EQ(cl.node(1).nic().stats().seq_dropped, 0u);  // seq layer off
@@ -264,27 +313,27 @@ TEST(FaultInjection, BusStallsSlowTheRunDeterministically) {
   // Same workload with and without bus-stall windows: the degraded run
   // finishes strictly later and the injector counts the stalls.
   auto run = [](bool degraded) {
-    Engine eng;
-    net::Cluster cl(eng, net::ppro_fm2_cluster(2));
+    net::ParallelCluster cl(net::ppro_fm2_cluster(2), 1);
+    Engine& eng = cl.shard_engine(0);
     auto plan = degraded ? FaultPlan::degraded_bus(11) : FaultPlan::clean(11);
-    PlanInjector inj(eng, plan);
-    arm(cl, inj);
-    eng.spawn([](net::Cluster& c) -> Task<void> {
+    auto injectors = arm(cl, plan);
+    eng.spawn([](net::ParallelCluster& c) -> Task<void> {
       for (int i = 0; i < 50; ++i) {
-        co_await c.node(0).nic().enqueue(
-            net::SendDescriptor(1, Bytes(1024), true));
+        co_await c.node(0).nic().enqueue(net::SendDescriptor(
+            1, BufferRef::copy_of(ByteSpan{Bytes(1024)}), true));
       }
     }(cl));
     sim::Ps end = 0;
     eng.spawn(
-        [](net::Cluster& c, sim::Ps& e, Engine& en) -> Task<void> {
+        [](net::ParallelCluster& c, sim::Ps& e, Engine& en) -> Task<void> {
           for (int i = 0; i < 50; ++i) {
             (void)co_await c.node(1).nic().host_ring().pop();
           }
           e = en.now();
         }(cl, end, eng));
-    EXPECT_TRUE(test::run_to_exhaustion(eng));
-    return std::pair<sim::Ps, std::uint64_t>{end, inj.stats().bus_stalls};
+    EXPECT_TRUE(test::run_to_exhaustion(cl));
+    return std::pair<sim::Ps, std::uint64_t>{
+        end, injectors[0]->stats().bus_stalls};
   };
   auto [t_clean, stalls_clean] = run(false);
   auto [t_degraded, stalls_degraded] = run(true);
@@ -298,28 +347,27 @@ TEST(FaultInjection, SlowReceiverPacingBuildsBackPressure) {
   // slack the whole transfer must observably take longer — the STOP/GO
   // back-pressure path from receive pacing to sender stalls.
   auto run = [](bool slow) {
-    Engine eng;
     auto params = net::ppro_fm2_cluster(2);
     params.nic.sram_rx_slots = 2;
-    net::Cluster cl(eng, params);
+    net::ParallelCluster cl(params, 1);
+    Engine& eng = cl.shard_engine(0);
     auto plan = slow ? FaultPlan::slow_receiver(3) : FaultPlan::clean(3);
-    PlanInjector inj(eng, plan);
-    arm(cl, inj);
-    eng.spawn([](net::Cluster& c) -> Task<void> {
+    auto injectors = arm(cl, plan);
+    eng.spawn([](net::ParallelCluster& c) -> Task<void> {
       for (int i = 0; i < 60; ++i) {
-        co_await c.node(0).nic().enqueue(
-            net::SendDescriptor(1, Bytes(512), true));
+        co_await c.node(0).nic().enqueue(net::SendDescriptor(
+            1, BufferRef::copy_of(ByteSpan{Bytes(512)}), true));
       }
     }(cl));
     sim::Ps end = 0;
     eng.spawn(
-        [](net::Cluster& c, sim::Ps& e, Engine& en) -> Task<void> {
+        [](net::ParallelCluster& c, sim::Ps& e, Engine& en) -> Task<void> {
           for (int i = 0; i < 60; ++i) {
             (void)co_await c.node(1).nic().host_ring().pop();
           }
           e = en.now();
         }(cl, end, eng));
-    EXPECT_TRUE(test::run_to_exhaustion(eng));
+    EXPECT_TRUE(test::run_to_exhaustion(cl));
     return end;
   };
   EXPECT_GT(run(true), run(false));
@@ -329,42 +377,41 @@ TEST(FaultInjection, PerLinkOverridesTargetOneDirection) {
   // Drop every packet 0->1 but none 1->0: node 1 starves while node 1's
   // own sends sail through — per-link schedules really are per-link.
   // Unreliable link so the drops stay visible.
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cl.shard_engine(0);
   FaultPlan plan = FaultPlan::clean(5);
   LinkOverride kill;
   kill.src = 0;
   kill.dst = 1;
   kill.rates.drop = 1.0;
   plan.links.push_back(kill);
-  PlanInjector inj(eng, plan);
-  arm(cl, inj);
+  auto injectors = arm(cl, plan);
   constexpr int kN = 20;
   for (int dir = 0; dir < 2; ++dir) {
-    eng.spawn([](net::Cluster& c, int from) -> Task<void> {
+    eng.spawn([](net::ParallelCluster& c, int from) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
-        co_await c.node(from).nic().enqueue(
-            net::SendDescriptor(1 - from, Bytes(128), true));
+        co_await c.node(from).nic().enqueue(net::SendDescriptor(
+            1 - from, BufferRef::copy_of(ByteSpan{Bytes(128)}), true));
       }
     }(cl, dir));
   }
   int got0 = 0, got1 = 0;
-  eng.spawn_daemon([](net::Cluster& c, int& g) -> Task<void> {
+  eng.spawn_daemon([](net::ParallelCluster& c, int& g) -> Task<void> {
     for (;;) {
       (void)co_await c.node(1).nic().host_ring().pop();
       ++g;
     }
   }(cl, got1));
-  eng.spawn_daemon([](net::Cluster& c, int& g) -> Task<void> {
+  eng.spawn_daemon([](net::ParallelCluster& c, int& g) -> Task<void> {
     for (;;) {
       (void)co_await c.node(0).nic().host_ring().pop();
       ++g;
     }
   }(cl, got0));
-  ASSERT_TRUE(test::run_to_exhaustion(eng));
+  ASSERT_TRUE(test::run_to_exhaustion(cl));
   EXPECT_EQ(got1, 0);   // the killed direction delivered nothing
   EXPECT_EQ(got0, kN);  // the clean direction delivered everything
-  EXPECT_EQ(inj.stats().drops, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(injectors[0]->stats().drops, static_cast<std::uint64_t>(kN));
 }
 
 }  // namespace

@@ -140,9 +140,10 @@ std::vector<Decision> consult(PlanInjector& inj, int n) {
   std::vector<Decision> out;
   out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    net::WirePacket pkt =
-        net::WirePacket::make(0, 1, pattern_bytes(static_cast<unsigned>(i),
-                                                  64));
+    net::WirePacket pkt = net::WirePacket::make(
+        0, 1,
+        BufferRef::copy_of(
+            ByteSpan{pattern_bytes(static_cast<unsigned>(i), 64)}));
     net::WireFault f = inj.on_deliver(pkt);
     out.push_back({f.drop, f.duplicate, f.corrupt, f.extra_delay});
   }
@@ -190,8 +191,9 @@ TEST(PlanInjector, LinkOverrideMatchesDirectedPair) {
   kill.rates.drop = 1.0;
   plan.links.push_back(kill);
   PlanInjector inj(eng, plan);
-  net::WirePacket fwd = net::WirePacket::make(0, 1, Bytes(8));
-  net::WirePacket rev = net::WirePacket::make(1, 0, Bytes(8));
+  const BufferRef payload = BufferRef::copy_of(ByteSpan{Bytes(8)});
+  net::WirePacket fwd = net::WirePacket::make(0, 1, payload);
+  net::WirePacket rev = net::WirePacket::make(1, 0, payload);
   EXPECT_TRUE(inj.on_deliver(fwd).drop);
   EXPECT_FALSE(inj.on_deliver(rev).drop);
 }
@@ -204,9 +206,10 @@ TEST(PlanInjector, WildcardOverrideMatchesAnyEndpoint) {
   all_into_2.rates.drop = 1.0;
   plan.links.push_back(all_into_2);
   PlanInjector inj(eng, plan);
-  EXPECT_TRUE(inj.on_deliver(net::WirePacket::make(0, 2, Bytes(8))).drop);
-  EXPECT_TRUE(inj.on_deliver(net::WirePacket::make(1, 2, Bytes(8))).drop);
-  EXPECT_FALSE(inj.on_deliver(net::WirePacket::make(2, 0, Bytes(8))).drop);
+  const BufferRef payload = BufferRef::copy_of(ByteSpan{Bytes(8)});
+  EXPECT_TRUE(inj.on_deliver(net::WirePacket::make(0, 2, payload)).drop);
+  EXPECT_TRUE(inj.on_deliver(net::WirePacket::make(1, 2, payload)).drop);
+  EXPECT_FALSE(inj.on_deliver(net::WirePacket::make(2, 0, payload)).drop);
 }
 
 TEST(PlanInjector, EmptyPayloadIsNeverCorrupted) {
@@ -217,7 +220,8 @@ TEST(PlanInjector, EmptyPayloadIsNeverCorrupted) {
   plan.wire.corrupt = 1.0;
   PlanInjector inj(eng, plan);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(inj.on_deliver(net::WirePacket::make(0, 1, Bytes{})).corrupt);
+    EXPECT_FALSE(
+        inj.on_deliver(net::WirePacket::make(0, 1, BufferRef{})).corrupt);
   }
   EXPECT_EQ(inj.stats().corruptions, 0u);
 }

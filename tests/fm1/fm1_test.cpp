@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "myrinet/parallel_cluster.hpp"
+
 namespace fmx::fm1 {
 namespace {
 
@@ -13,15 +15,16 @@ using sim::Task;
 
 struct World {
   explicit World(net::ClusterParams p, Config cfg = {})
-      : cluster(eng, p) {
+      : cluster(p, 1) {
     for (int i = 0; i < p.n_hosts; ++i) {
-      eps.push_back(std::make_unique<Endpoint>(cluster, i, cfg));
+      eps.push_back(std::make_unique<Endpoint>(cluster.node(i),
+                                               cluster.fabric_of(i), cfg));
     }
   }
   Endpoint& ep(int i) { return *eps[i]; }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
   std::vector<std::unique_ptr<Endpoint>> eps;
 };
 
@@ -41,7 +44,7 @@ TEST(Fm1, SingleShortMessageDelivered) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(got);
   EXPECT_EQ(w.eng.pending_roots(), 0);
   EXPECT_EQ(w.ep(0).stats().msgs_sent, 1u);
@@ -63,7 +66,7 @@ TEST(Fm1, Send4FastPath) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(got);
   EXPECT_EQ(seen[0], 10u);
   EXPECT_EQ(seen[1], 20u);
@@ -87,7 +90,7 @@ TEST(Fm1, MultiPacketMessageReassembled) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(got);
   EXPECT_GE(w.ep(0).stats().packets_sent, 9u);
   // Reassembly really copied packets into the staging buffer.
@@ -107,7 +110,7 @@ TEST(Fm1, EmptyMessageInvokesHandler) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(got);
 }
 
@@ -130,7 +133,7 @@ TEST(Fm1, InOrderDeliveryAcrossManyMessages) {
   w.eng.spawn([](Endpoint& ep, std::vector<int>& o) -> Task<void> {
     co_await ep.poll_until([&] { return o.size() == kN; });
   }(w.ep(1), order));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kN));
   for (int i = 0; i < kN; ++i) EXPECT_EQ(order[i], i);
 }
@@ -157,7 +160,7 @@ TEST(Fm1, MixedSizesInterleavedStayOrderedAndIntact) {
                   -> Task<void> {
     co_await ep.poll_until([&] { return n == want; });
   }(w.ep(1), next, sizes.size()));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(next, sizes.size());
 }
 
@@ -174,7 +177,7 @@ TEST(Fm1, FlowControlStallsSenderUntilReceiverExtracts) {
       ++s;
     }
   }(w.ep(0), sent));
-  w.eng.run();
+  w.cluster.run();
   // Receiver never extracted: sender used its 4 credits then stalled.
   EXPECT_EQ(sent, 4);
   EXPECT_GT(w.ep(0).stats().credit_stall_events, 0u);
@@ -185,7 +188,7 @@ TEST(Fm1, FlowControlStallsSenderUntilReceiverExtracts) {
   w.eng.spawn([](Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == 20; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(sent, 20);
   EXPECT_EQ(got, 20);
   EXPECT_EQ(w.eng.pending_roots(), 0);
@@ -215,7 +218,7 @@ TEST(Fm1, CreditsPiggybackOnReverseTraffic) {
       co_await ep.send(0, 0, ByteSpan{b});
     }
   }(w.ep(1), got1));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(got0, kN);
   EXPECT_EQ(got1, kN);
   EXPECT_EQ(w.ep(0).stats().credit_stall_events, 0u);
@@ -238,7 +241,7 @@ TEST(Fm1, ExplicitCreditPacketsFlowOnOneWayTraffic) {
   w.eng.spawn([](Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == kN; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(got, kN);
   // One-way traffic has nothing to piggyback on: explicit credit packets
   // must have been sent.
@@ -259,7 +262,7 @@ TEST(Fm1, MultipleHandlersDispatchById) {
   w.eng.spawn([](Endpoint& ep, int& a_, int& b_) -> Task<void> {
     co_await ep.poll_until([&] { return a_ + b_ == 3; });
   }(w.ep(1), a, b));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(a, 2);
   EXPECT_EQ(b, 1);
 }
@@ -284,7 +287,7 @@ TEST(Fm1, ManyToOneDelivery) {
   w.eng.spawn([](Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == 30; });
   }(w.ep(3), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(per_src[0], 10);
   EXPECT_EQ(per_src[1], 10);
   EXPECT_EQ(per_src[2], 10);
@@ -303,7 +306,7 @@ TEST(Fm1, SelfSendDelivered) {
     co_await ep.send(0, 0, ByteSpan{b});
     co_await ep.poll_until([&] { return g; });
   }(w.ep(0), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(got);
 }
 
@@ -318,7 +321,7 @@ TEST(Fm1, SingletonPacketIsZeroCopyOnReceive) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   // The receiving host performed no payload copies: the handler saw the
   // packet in the ring (FM 1.x's short-message fast path).
   EXPECT_EQ(w.ep(1).host().ledger().copies(), 0u);
@@ -351,7 +354,7 @@ TEST_P(Fm1PropertyTest, RandomTrafficIntegrityAndOrder) {
   w.eng.spawn([](Endpoint& ep, std::size_t& n) -> Task<void> {
     co_await ep.poll_until([&] { return n == kMsgs; });
   }(w.ep(1), next));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(next, static_cast<std::size_t>(kMsgs));
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::fm2 {
@@ -18,15 +19,16 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(net::ClusterParams p, Config cfg = {}) : cluster(eng, p) {
+  explicit World(net::ClusterParams p, Config cfg = {}) : cluster(p, 1) {
     for (int i = 0; i < p.n_hosts; ++i) {
-      eps.push_back(std::make_unique<Endpoint>(cluster, i, cfg));
+      eps.push_back(std::make_unique<Endpoint>(cluster.node(i),
+                                               cluster.fabric_of(i), cfg));
     }
   }
   Endpoint& ep(int i) { return *eps[i]; }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
   std::vector<std::unique_ptr<Endpoint>> eps;
 };
 
@@ -67,7 +69,7 @@ void round_trip(std::size_t size, std::size_t piece, std::size_t chunk) {
   w.eng.spawn([](Endpoint& ep, bool& d) -> Task<void> {
     co_await ep.poll_until([&] { return d; });
   }(w.ep(1), done));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   ASSERT_TRUE(done) << "size " << size;
   // Packetization is exact: ceil(size / seg) data packets, no padding
   // packet, no missing tail.
@@ -150,7 +152,7 @@ TEST(Fm2Boundary2, BoundarySweepBackToBack) {
                   -> Task<void> {
     co_await ep.poll_until([&] { return n == want; });
   }(w.ep(1), seen, sizes.size()));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(seen, sizes.size());
 }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::fm2 {
@@ -19,16 +19,17 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(net::ClusterParams p, Config cfg = {}) : cluster(eng, p) {
+  explicit World(net::ClusterParams p, Config cfg = {}) : cluster(p, 1) {
     for (int i = 0; i < p.n_hosts; ++i) {
-      eps.push_back(std::make_unique<Endpoint>(cluster, i, cfg));
+      eps.push_back(std::make_unique<Endpoint>(cluster.node(i),
+                                               cluster.fabric_of(i), cfg));
     }
   }
   Endpoint& ep(int i) { return *eps[i]; }
   net::Nic& nic(int i) { return cluster.node(i).nic(); }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
   std::vector<std::unique_ptr<Endpoint>> eps;
 };
 
@@ -52,7 +53,7 @@ TEST(Coll, BarrierCompletesOnEveryMember) {
       ++d;
     }(w.ep(i), everyone(kN), done));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(done, kN);
   for (int i = 0; i < kN; ++i) {
     // join + barrier: exactly two host interruptions, zero handler starts
@@ -80,7 +81,7 @@ TEST(Coll, BarrierHoldsBackEarlyArrivers) {
       EXPECT_GE(eng.now(), entry);
     }(w.eng, w.ep(i), everyone(kN), i, straggler_entry));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   EXPECT_GT(straggler_entry, 0);
 }
 
@@ -98,7 +99,7 @@ TEST(Coll, BcastDeliversRootBytes) {
       co_await ep.coll_bcast(spec.id, buf);
     }(w.ep(i), everyone(kN), MutByteSpan{dst[i]}));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   for (int i = 0; i < kN; ++i) EXPECT_EQ(dst[i], src) << "node " << i;
 }
 
@@ -114,7 +115,7 @@ TEST(Coll, ReduceSumLandsAtRootOnly) {
       co_await ep.coll_reduce(spec.id, d, Endpoint::CollRed::kSum);
     }(w.ep(i), everyone(kN), std::span<double>{data[i]}));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   EXPECT_DOUBLE_EQ(data[0][0], 1 + 2 + 3 + 4 + 5);
   EXPECT_DOUBLE_EQ(data[0][1], 10 + 20 + 30 + 40 + 50);
   for (int i = 1; i < kN; ++i) {
@@ -140,7 +141,7 @@ TEST(Coll, AllreduceSumAndMaxEverywhere) {
     }(w.ep(i), everyone(kN, 3), std::span<double>{s[i]},
       std::span<double>{m[i]}));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   for (int i = 0; i < kN; ++i) {
     EXPECT_DOUBLE_EQ(s[i][0], 0 + 1 + 2 + 3 + 4 + 5 + 6) << i;
     EXPECT_DOUBLE_EQ(s[i][1], kN) << i;
@@ -170,7 +171,7 @@ TEST(Coll, PipelinedEpochsStayOrdered) {
       }
     }(w.ep(i), everyone(kN), i, std::span<double>{got[i]}));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   for (int i = 0; i < kN; ++i) {
     for (int r = 0; r < kRounds; ++r) {
       EXPECT_DOUBLE_EQ(got[i][r], (0 + 1 + 2 + 3) + 400.0 * r)
@@ -208,7 +209,7 @@ TEST(Coll, SubgroupWithNonZeroRootCoexists) {
       co_await ep.coll_barrier(g1.id);
     }(w.ep(i), everyone(kN), sub, in_sub, &subsum[i]));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   EXPECT_DOUBLE_EQ(subsum[1], 9.0);
   EXPECT_DOUBLE_EQ(subsum[3], 9.0);
   EXPECT_DOUBLE_EQ(subsum[5], 9.0);
@@ -230,7 +231,7 @@ TEST(Coll, InteriorStepsRecordNicTraceNotHostHandlers) {
       ++d;
     }(w.ep(i), everyone(kN), done));
   }
-  ASSERT_TRUE(test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(done, kN);
   std::uint64_t combines = 0, forwards = 0;
   for (int i = 0; i < kN; ++i) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/frame_pool.hpp"
 #include "tests/common/sim_fixture.hpp"
 
@@ -17,28 +18,29 @@ namespace {
 using sim::Task;
 
 struct World {
-  World(net::ClusterParams p, Config cfg) : cluster(eng, p) {
+  World(net::ClusterParams p, Config cfg) : cluster(p, 1) {
     for (int i = 0; i < p.n_hosts; ++i) {
-      eps.push_back(std::make_unique<Endpoint>(cluster, i, cfg));
+      eps.push_back(std::make_unique<Endpoint>(cluster.node(i),
+                                               cluster.fabric_of(i), cfg));
     }
   }
   Endpoint& ep(int i) { return *eps[i]; }
 
-  sim::Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  sim::Engine& eng = cluster.shard_engine(0);
   std::vector<std::unique_ptr<Endpoint>> eps;
 };
 
 // Coroutine frames created by one extract() on host 0 of an idle cluster,
 // where host 0 owes nobody credits.
 std::uint64_t idle_extract_frames(int hosts) {
-  sim::Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(hosts));
-  Endpoint ep(cluster, 0);
-  eng.run();  // NIC control programs park on empty queues
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(hosts), 1);
+  sim::Engine& eng = cluster.shard_engine(0);
+  Endpoint ep(cluster.node(0), cluster.fabric_of(0));
+  cluster.run();  // NIC control programs park on empty queues
   const std::uint64_t before = sim::frame_pool_stats().allocs;
   eng.spawn([](Endpoint& e) -> Task<void> { (void)co_await e.extract(); }(ep));
-  EXPECT_TRUE(fmx::test::run_to_exhaustion(eng));
+  EXPECT_TRUE(fmx::test::run_to_exhaustion(cluster));
   return sim::frame_pool_stats().allocs - before;
 }
 
@@ -75,7 +77,7 @@ TEST(Fm2CreditReturn, OneCreditPacketPerPeerAtThresholdAcrossWords) {
   w.eng.spawn([](Endpoint& ep, const int& got, int want) -> Task<void> {
     co_await ep.poll_until([&] { return got == want; });
   }(w.ep(0), received, expected));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   ASSERT_EQ(received, expected);
 
   // Each peer at the threshold got exactly one explicit credit packet (the
@@ -112,7 +114,7 @@ TEST(Fm2CreditReturn, OneCreditPacketPerPeerAtThresholdAcrossWords) {
       co_await ep.poll_until([&] { return got == 1; });
     }(w.ep(p), replies[p]));
   }
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
 
   EXPECT_EQ(w.ep(0).stats().credit_packets_sent,
             static_cast<std::uint64_t>(kHosts / 2));

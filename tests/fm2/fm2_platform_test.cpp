@@ -8,6 +8,7 @@
 
 #include "fm1/fm1.hpp"
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx::fm2 {
 namespace {
@@ -47,9 +48,10 @@ net::ClusterParams reliable_lossy_platform() {
 class Fm2PlatformSweep : public ::testing::TestWithParam<PlatformCase> {};
 
 TEST_P(Fm2PlatformSweep, MixedTrafficIntegrity) {
-  Engine eng;
-  net::Cluster cl(eng, GetParam().make());
-  Endpoint tx(cl, 0), rx(cl, 1);
+  net::ParallelCluster cl(GetParam().make(), 1);
+  Engine& eng = cl.shard_engine(0);
+  Endpoint tx(cl.node(0), cl.fabric_of(0));
+  Endpoint rx(cl.node(1), cl.fabric_of(1));
   constexpr int kMsgs = 25;
   int seen = 0;
   rx.register_handler(0, [&](RecvStream& s, int) -> HandlerTask {
@@ -71,7 +73,7 @@ TEST_P(Fm2PlatformSweep, MixedTrafficIntegrity) {
   eng.spawn([](Endpoint& ep, int& n) -> Task<void> {
     co_await ep.poll_until([&] { return n == kMsgs; });
   }(rx, seen));
-  eng.run();
+  cl.run();
   EXPECT_EQ(seen, kMsgs);
   EXPECT_EQ(eng.pending_roots(), 0);
 }
@@ -86,35 +88,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& pinfo) { return pinfo.param.name; });
 
 TEST(Fm2Limits, MessageBeyond16BitPacketIndexThrows) {
-  Engine eng;
   auto p = net::ppro_fm2_cluster(2);
   p.nic.mtu_payload = 32;  // seg = 16 B -> 65535 packets ~ 1 MB limit
-  net::Cluster cl(eng, p);
-  Endpoint tx(cl, 0), rx(cl, 1);
+  net::ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
+  Endpoint tx(cl.node(0), cl.fabric_of(0));
+  Endpoint rx(cl.node(1), cl.fabric_of(1));
   eng.spawn([](Endpoint& ep) -> Task<void> {
     Bytes huge(16u * 65536u);
     EXPECT_THROW((void)co_await ep.begin_message(1, huge.size(), 0),
                  std::length_error);
   }(tx));
-  eng.run();
+  cl.run();
 }
 
 TEST(Fm1Limits, MessageBeyond16BitPacketIndexThrows) {
-  Engine eng;
   auto p = net::sparc_fm1_cluster(2);  // seg = 112 B
-  net::Cluster cl(eng, p);
-  ::fmx::fm1::Endpoint tx(cl, 0), rx(cl, 1);
+  net::ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
+  ::fmx::fm1::Endpoint tx(cl.node(0), cl.fabric_of(0));
+  ::fmx::fm1::Endpoint rx(cl.node(1), cl.fabric_of(1));
   eng.spawn([](::fmx::fm1::Endpoint& ep) -> Task<void> {
     Bytes huge(112u * 65536u);
     EXPECT_THROW(co_await ep.send(1, 0, ByteSpan{huge}), std::length_error);
   }(tx));
-  eng.run();
+  cl.run();
 }
 
 TEST(Fm2Limits, ExtractBudgetExactPacketBoundary) {
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));
-  Endpoint tx(cl, 0), rx(cl, 1);
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cl.shard_engine(0);
+  Endpoint tx(cl.node(0), cl.fabric_of(0));
+  Endpoint rx(cl.node(1), cl.fabric_of(1));
   int seen = 0;
   rx.register_handler(0, [&](RecvStream& s, int) -> HandlerTask {
     co_await s.skip(s.remaining());
@@ -134,7 +139,7 @@ TEST(Fm2Limits, ExtractBudgetExactPacketBoundary) {
     EXPECT_EQ(n, 1);
     co_await ep.poll_until([&] { return n == 4; });
   }(eng, rx, seg, seen));
-  eng.run();
+  cl.run();
   EXPECT_EQ(seen, 4);
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::fm2 {
@@ -14,15 +15,16 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(net::ClusterParams p, Config cfg = {}) : cluster(eng, p) {
+  explicit World(net::ClusterParams p, Config cfg = {}) : cluster(p, 1) {
     for (int i = 0; i < p.n_hosts; ++i) {
-      eps.push_back(std::make_unique<Endpoint>(cluster, i, cfg));
+      eps.push_back(std::make_unique<Endpoint>(cluster.node(i),
+                                               cluster.fabric_of(i), cfg));
     }
   }
   Endpoint& ep(int i) { return *eps[i]; }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
   std::vector<std::unique_ptr<Endpoint>> eps;
 };
 
@@ -44,7 +46,7 @@ TEST(Fm2, BasicSendReceive) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   EXPECT_TRUE(got);
 }
 
@@ -77,7 +79,7 @@ TEST(Fm2, PaperHandlerExample) {
   w.eng.spawn([](Endpoint& ep, bool& d) -> Task<void> {
     co_await ep.poll_until([&] { return d; });
   }(w.ep(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(pattern_mismatch(9, 0, ByteSpan{big}.subspan(0, 3000)), -1);
 }
@@ -107,7 +109,7 @@ TEST(Fm2, GatherScatterPieceSizesNeedNotMatch) {
   w.eng.spawn([](Endpoint& ep, bool& d) -> Task<void> {
     co_await ep.poll_until([&] { return d; });
   }(w.ep(1), done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(out, whole);
 }
@@ -135,7 +137,7 @@ TEST(Fm2, HandlerStartsBeforeMessageComplete) {
   w.eng.spawn([](Endpoint& ep, bool& d) -> Task<void> {
     co_await ep.poll_until([&] { return d; });
   }(w.ep(1), done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(msg_bytes_at_first_receive, kBig);
   // When the handler first ran, most of the message had NOT yet arrived.
@@ -167,7 +169,7 @@ TEST(Fm2, InterleavedSendersEachGetTheirOwnHandlerThread) {
       co_await ep.host().compute(sim::us(2));
     }
   }(w.ep(2), done, max_active));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, 2);
   // Both handlers were live at once: transparent handler multithreading.
   EXPECT_EQ(max_active, 2u);
@@ -198,7 +200,7 @@ TEST(Fm2, ReceiverFlowControlLimitsExtraction) {
     }
     EXPECT_GE(extracts, 6);  // 16 KB at ~2 KB per call
   }(w.ep(1), received));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(received, kMsg);
 }
 
@@ -217,14 +219,14 @@ TEST(Fm2, UnextractedDataWithholdsCreditsAndPacesSender) {
       ++s;
     }
   }(w.ep(0), sent));
-  w.eng.run();
+  w.cluster.run();
   // Receiver never extracted: sender stalled after its credit allowance.
   EXPECT_EQ(sent, 4);
   EXPECT_EQ(w.eng.pending_roots(), 1);
   w.eng.spawn([](Endpoint& ep, int& s) -> Task<void> {
     co_await ep.poll_until([&] { return s == 16; });
   }(w.ep(1), sent));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(sent, 16);
 }
 
@@ -246,7 +248,7 @@ TEST(Fm2, HandlerEarlyReturnSkipsRestOfMessage) {
   w.eng.spawn([](Endpoint& ep) -> Task<void> {
     co_await ep.poll_until([&] { return ep.stats().msgs_received == 3; });
   }(w.ep(1)));
-  w.eng.run();
+  w.cluster.run();
   // All three messages completed despite early returns.
   EXPECT_EQ(handled, 3);
   EXPECT_EQ(w.ep(1).stats().msgs_received, 3u);
@@ -266,7 +268,7 @@ TEST(Fm2, ZeroLengthMessage) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(got);
 }
 
@@ -293,7 +295,7 @@ TEST(Fm2, BackToBackMessagesSameSource) {
   w.eng.spawn([](Endpoint& ep, int& n) -> Task<void> {
     co_await ep.poll_until([&] { return n == kN; });
   }(w.ep(1), seen));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(seen, kN);
 }
 
@@ -304,7 +306,7 @@ TEST(Fm2, SendPieceOverflowThrows) {
     Bytes big(11);
     EXPECT_THROW(co_await ep.send_piece(s, ByteSpan{big}), std::logic_error);
   }(w.ep(0)));
-  w.eng.run();
+  w.cluster.run();
 }
 
 TEST(Fm2, EndBeforeFullComposeThrows) {
@@ -315,7 +317,7 @@ TEST(Fm2, EndBeforeFullComposeThrows) {
     co_await ep.send_piece(s, ByteSpan{five});
     EXPECT_THROW(co_await ep.end_message(s), std::logic_error);
   }(w.ep(0)));
-  w.eng.run();
+  w.cluster.run();
 }
 
 TEST(Fm2, ReceiveBeyondMessageEndThrows) {
@@ -334,7 +336,7 @@ TEST(Fm2, ReceiveBeyondMessageEndThrows) {
   w.eng.spawn([](Endpoint& ep, bool& c) -> Task<void> {
     co_await ep.poll_until([&] { return c; });
   }(w.ep(1), checked));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(checked);
 }
 
@@ -354,7 +356,7 @@ TEST(Fm2, HandlerExceptionPropagatesToExtract) {
       co_await ep.host().compute(sim::us(1));
     }
   }(w.ep(1)));
-  EXPECT_THROW(w.eng.run(), std::runtime_error);
+  EXPECT_THROW(w.cluster.run(), std::runtime_error);
 }
 
 TEST(Fm2, WholeMessageAblationDelaysHandlerStart) {
@@ -376,7 +378,7 @@ TEST(Fm2, WholeMessageAblationDelaysHandlerStart) {
   w.eng.spawn([](Endpoint& ep, bool& d) -> Task<void> {
     co_await ep.poll_until([&] { return d; });
   }(w.ep(1), done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   // In whole-message mode the handler saw the entire message buffered.
   EXPECT_EQ(available_at_start, kBig);
@@ -414,7 +416,7 @@ TEST(Fm2, LongMessageDoesNotBlockOtherSenders) {
   w.eng.spawn([](Endpoint& ep, sim::Ps& b, sim::Ps& s) -> Task<void> {
     co_await ep.poll_until([&] { return b != 0 && s != 0; });
   }(w.ep(2), bulk_done_at, small_done_at));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_NE(bulk_done_at, 0u);
   ASSERT_NE(small_done_at, 0u);
   // The small message finished well before the bulk one.
@@ -444,7 +446,7 @@ TEST(Fm2, WholeMessageDeliveryDeadlocksBeyondCreditWindow) {
   w.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w.ep(1), got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_FALSE(got);
   EXPECT_EQ(w.eng.pending_roots(), 2);  // both sides wedged
 
@@ -464,7 +466,7 @@ TEST(Fm2, WholeMessageDeliveryDeadlocksBeyondCreditWindow) {
   w2.eng.spawn([](Endpoint& ep, bool& g) -> Task<void> {
     co_await ep.poll_until([&] { return g; });
   }(w2.ep(1), got2));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w2.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w2.cluster));
   EXPECT_TRUE(got2);
 }
 
@@ -477,7 +479,7 @@ TEST(Fm2, UnregisteredHandlerDropsMessage) {
   w.eng.spawn([](Endpoint& ep) -> Task<void> {
     co_await ep.poll_until([&] { return ep.stats().msgs_received == 1; });
   }(w.ep(1)));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(w.ep(1).stats().msgs_received, 1u);
   EXPECT_EQ(w.ep(1).stats().handler_starts, 0u);
 }
@@ -527,7 +529,7 @@ TEST_P(Fm2PropertyTest, RandomGatherScatterIntegrity) {
   w.eng.spawn([](Endpoint& ep, int& n) -> Task<void> {
     co_await ep.poll_until([&] { return n == kMsgs; });
   }(w.ep(1), seen));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(seen, kMsgs);
 }
 

@@ -5,6 +5,7 @@
 
 #include "fm1/fm1.hpp"
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx {
 namespace {
@@ -13,11 +14,12 @@ using sim::Engine;
 using sim::Task;
 
 TEST(FmModes, Fm1DmaSendCorrect) {
-  Engine eng;
-  net::Cluster cl(eng, net::sparc_fm1_cluster(2));
+  net::ParallelCluster cl(net::sparc_fm1_cluster(2), 1);
+  Engine& eng = cl.shard_engine(0);
   fm1::Config cfg;
   cfg.pio_send = false;  // DMA fetch from host memory instead of PIO
-  fm1::Endpoint tx(cl, 0, cfg), rx(cl, 1, cfg);
+  fm1::Endpoint tx(cl.node(0), cl.fabric_of(0), cfg);
+  fm1::Endpoint rx(cl.node(1), cl.fabric_of(1), cfg);
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan data) {
     EXPECT_EQ(pattern_mismatch(got, 0, data), -1);
@@ -32,17 +34,18 @@ TEST(FmModes, Fm1DmaSendCorrect) {
   eng.spawn([](fm1::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == 10; });
   }(rx, got));
-  eng.run();
+  cl.run();
   EXPECT_EQ(got, 10);
   EXPECT_EQ(eng.pending_roots(), 0);
 }
 
 TEST(FmModes, Fm2PioSendCorrect) {
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cl.shard_engine(0);
   fm2::Config cfg;
   cfg.pio_send = true;
-  fm2::Endpoint tx(cl, 0, cfg), rx(cl, 1, cfg);
+  fm2::Endpoint tx(cl.node(0), cl.fabric_of(0), cfg);
+  fm2::Endpoint rx(cl.node(1), cl.fabric_of(1), cfg);
   int got = 0;
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
     Bytes buf(s.msg_bytes());
@@ -59,7 +62,7 @@ TEST(FmModes, Fm2PioSendCorrect) {
   eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == 10; });
   }(rx, got));
-  eng.run();
+  cl.run();
   EXPECT_EQ(got, 10);
 }
 
@@ -69,11 +72,12 @@ TEST(FmModes, Fm1PioBeatsDmaOnTheSparcPlatform) {
   // costs more than pushing the bytes over the SBus directly at ~16 ns/B.
   // The simulation reproduces the design rationale.
   auto bw = [](bool pio) {
-    Engine eng;
-    net::Cluster cl(eng, net::sparc_fm1_cluster(2));
+    net::ParallelCluster cl(net::sparc_fm1_cluster(2), 1);
+    Engine& eng = cl.shard_engine(0);
     fm1::Config cfg;
     cfg.pio_send = pio;
-    fm1::Endpoint tx(cl, 0, cfg), rx(cl, 1, cfg);
+    fm1::Endpoint tx(cl.node(0), cl.fabric_of(0), cfg);
+    fm1::Endpoint rx(cl.node(1), cl.fabric_of(1), cfg);
     int got = 0;
     rx.register_handler(0, [&](int, ByteSpan) { ++got; });
     constexpr int kN = 60;
@@ -87,7 +91,7 @@ TEST(FmModes, Fm1PioBeatsDmaOnTheSparcPlatform) {
       co_await ep.poll_until([&] { return g == kN; });
       end = e.now();
     }(eng, rx, got, t_end));
-    eng.run();
+    cl.run();
     return 2048.0 * kN / sim::to_seconds(t_end);
   };
   double with_pio = bw(true);
@@ -97,9 +101,10 @@ TEST(FmModes, Fm1PioBeatsDmaOnTheSparcPlatform) {
 
 TEST(FmModes, Fm2ExtractUnlimitedEqualsTable1Semantics) {
   // extract() with no budget behaves like FM 1.x's drain-everything.
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cl, 0), rx(cl, 1);
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cl.shard_engine(0);
+  fm2::Endpoint tx(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint rx(cl.node(1), cl.fabric_of(1));
   int got = 0;
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
     co_await s.skip(s.remaining());
@@ -117,7 +122,7 @@ TEST(FmModes, Fm2ExtractUnlimitedEqualsTable1Semantics) {
     EXPECT_EQ(n, 12);
     EXPECT_EQ(g, 12);
   }(eng, rx, got));
-  eng.run();
+  cl.run();
   EXPECT_EQ(got, 12);
 }
 

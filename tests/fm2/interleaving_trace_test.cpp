@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 #include "trace/trace.hpp"
 
@@ -30,21 +30,22 @@ struct Timeline {
 
 // Streams one bulk message and reads its timeline back out of the trace.
 Timeline run_bulk(bool whole_message) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
   params.nic.host_ring_slots = 512;  // credits must cover the bulk message
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params, 1);
+  Engine& eng = cluster.shard_engine(0);
   fm2::Config cfg;
   cfg.credits_per_peer = 192;
   cfg.whole_message_handlers = whole_message;
-  fm2::Endpoint tx(cluster, 0, cfg), rx(cluster, 1, cfg);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   Bytes sink(kBulk);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
     co_await s.receive(sink.data(), s.msg_bytes());
     ++got;
   });
-  cluster.fabric().tracer().enable();
+  cluster.fabric_of(0).tracer().enable();
   eng.spawn([](fm2::Endpoint& ep) -> Task<void> {
     Bytes m(kBulk);
     co_await ep.send(1, 0, ByteSpan{m});
@@ -52,11 +53,11 @@ Timeline run_bulk(bool whole_message) {
   eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == 1; });
   }(rx, got));
-  EXPECT_TRUE(test::run_to_exhaustion(eng));
+  EXPECT_TRUE(test::run_to_exhaustion(cluster));
   EXPECT_EQ(got, 1);
 
   // The bulk message id, as both sides computed it independently.
-  const trace::Tracer& t = cluster.fabric().tracer();
+  const trace::Tracer& t = cluster.fabric_of(0).tracer();
   std::uint64_t bulk_id = 0;
   for (std::size_t i = 0; i < t.size(); ++i) {
     const trace::Event& e = t.at(i);

@@ -6,6 +6,7 @@
 
 #include "fm1/fm1.hpp"
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx {
 namespace {
@@ -14,9 +15,10 @@ using sim::Engine;
 using sim::Task;
 
 TEST(Table1Api, SendSend4Extract) {
-  Engine eng;
-  net::Cluster cl(eng, net::sparc_fm1_cluster(2));
-  fm1::Endpoint node0(cl, 0), node1(cl, 1);
+  net::ParallelCluster cl(net::sparc_fm1_cluster(2), 1);
+  Engine& eng = cl.shard_engine(0);
+  fm1::Endpoint node0(cl.node(0), cl.fabric_of(0));
+  fm1::Endpoint node1(cl.node(1), cl.fabric_of(1));
   int got_long = 0, got_quad = 0;
   node1.register_handler(1, [&](int, ByteSpan d) {
     EXPECT_EQ(pattern_mismatch(9, 0, d), -1);
@@ -41,15 +43,16 @@ TEST(Table1Api, SendSend4Extract) {
       co_await ep.host().compute(sim::us(2));
     }
   }(node1, got_long, got_quad));
-  eng.run();
+  cl.run();
   EXPECT_EQ(got_long, 1);
   EXPECT_EQ(got_quad, 1);
 }
 
 TEST(Table2Api, BeginPieceEndReceiveExtract) {
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint node0(cl, 0), node1(cl, 1);
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cl.shard_engine(0);
+  fm2::Endpoint node0(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint node1(cl.node(1), cl.fabric_of(1));
   bool got = false;
   node1.register_handler(5, [&](fm2::RecvStream& stream,
                                 int) -> fm2::HandlerTask {
@@ -76,7 +79,7 @@ TEST(Table2Api, BeginPieceEndReceiveExtract) {
       co_await ep.wait_for_traffic();
     }
   }(node1, got));
-  eng.run();
+  cl.run();
   EXPECT_TRUE(got);
   EXPECT_EQ(eng.pending_roots(), 0);
 }

@@ -20,7 +20,7 @@
 // the simulator process performs (CopyStats). Every modeled copy above
 // moves bytes exactly once, and nothing else does — per-hop real copies
 // (NIC retention, wire transit, fault duplication) must be zero in a
-// serial run. A 2-shard parallel run keeps the modeled and endpoint
+// 1-shard run. A 2-shard parallel run keeps the modeled and endpoint
 // counts bit-identical and adds only the explicit one-copy-per-side
 // cross-shard boundary, counted as per-hop copies.
 #include <gtest/gtest.h>
@@ -50,9 +50,10 @@ struct Copies {
 };
 
 Copies fm1_copies(std::size_t msg_size) {
-  Engine eng;
-  net::Cluster cluster(eng, net::sparc_fm1_cluster(2));
-  fm1::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::sparc_fm1_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
   eng.spawn([](fm1::Endpoint& ep, std::size_t sz) -> Task<void> {
@@ -63,45 +64,20 @@ Copies fm1_copies(std::size_t msg_size) {
     co_await ep.poll_until([&] { return g == kMsgs; });
   }(rx, got));
   CopyStats::instance().reset();
-  EXPECT_TRUE(test::run_to_exhaustion(eng));
+  EXPECT_TRUE(test::run_to_exhaustion(cluster));
   EXPECT_EQ(got, kMsgs);
   const std::size_t seg = tx.max_payload_per_packet();
   return Copies{tx.host().ledger().copies(), rx.host().ledger().copies(),
                 (msg_size + seg - 1) / seg, CopyStats::instance().snapshot()};
 }
 
-Copies fm2_copies(std::size_t msg_size, bool reliable_link = false) {
-  Engine eng;
+// FM 2.x stream node 0 -> node 1. At 2 shards the nodes live on different
+// shards, so every wire packet crosses the SPSC boundary.
+Copies fm2_copies(std::size_t msg_size, bool reliable_link = false,
+                  int shards = 1, int threads = 1) {
   auto params = net::ppro_fm2_cluster(2);
   params.nic.reliable_link = reliable_link;
-  net::Cluster cluster(eng, params);
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
-  int got = 0;
-  Bytes sink(msg_size);
-  rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
-    co_await s.receive(sink.data(), s.msg_bytes());
-    ++got;
-  });
-  eng.spawn([](fm2::Endpoint& ep, std::size_t sz) -> Task<void> {
-    Bytes m(sz);
-    for (int i = 0; i < kMsgs; ++i) co_await ep.send(1, 0, ByteSpan{m});
-  }(tx, msg_size));
-  eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
-    co_await ep.poll_until([&] { return g == kMsgs; });
-  }(rx, got));
-  CopyStats::instance().reset();
-  EXPECT_TRUE(test::run_to_exhaustion(eng));
-  EXPECT_EQ(got, kMsgs);
-  const std::size_t seg = tx.max_payload_per_packet();
-  return Copies{tx.host().ledger().copies(), rx.host().ledger().copies(),
-                (msg_size + seg - 1) / seg, CopyStats::instance().snapshot()};
-}
-
-// Same FM 2.x stream, but across the 2-shard parallel cluster (node 0 and
-// node 1 live on different shards, so every wire packet crosses the SPSC
-// boundary).
-Copies fm2_parallel_copies(std::size_t msg_size, int threads) {
-  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 2);
+  net::ParallelCluster cl(params, shards);
   fm2::Endpoint tx(cl.node(0), cl.fabric_of(0));
   fm2::Endpoint rx(cl.node(1), cl.fabric_of(1));
   int got = 0;
@@ -122,8 +98,7 @@ Copies fm2_parallel_copies(std::size_t msg_size, int threads) {
   EXPECT_EQ(r.pending_roots, 0);
   EXPECT_EQ(got, kMsgs);
   const std::size_t seg = tx.max_payload_per_packet();
-  return Copies{cl.node(0).host().ledger().copies(),
-                cl.node(1).host().ledger().copies(),
+  return Copies{tx.host().ledger().copies(), rx.host().ledger().copies(),
                 (msg_size + seg - 1) / seg, CopyStats::instance().snapshot()};
 }
 
@@ -139,7 +114,8 @@ void expect_zero_copy_hops(const Copies& c) {
 // MPI-FM2 rendezvous stream: every message is above the eager threshold,
 // so with rdma on each payload moves as remote-memory writes and the only
 // host-side byte movement is the 24-byte control envelopes.
-Copies rdzv_copies(std::size_t msg_size, bool rdma, int threads = 0) {
+Copies rdzv_copies(std::size_t msg_size, bool rdma, int shards = 1,
+                   int threads = 1) {
   mpi::MpiFm2Options opt;
   opt.eager_threshold = 1024;
   opt.rdma = rdma;
@@ -155,21 +131,7 @@ Copies rdzv_copies(std::size_t msg_size, bool rdma, int threads = 0) {
     Bytes m(sz);
     for (int i = 0; i < kMsgs; ++i) co_await c.send(ByteSpan{m}, 1, i);
   };
-  if (threads == 0) {  // serial cluster
-    Engine eng;
-    net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-    mpi::MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
-    eng.spawn(sender(tx, msg_size));
-    eng.spawn(receiver(rx, msg_size, got));
-    CopyStats::instance().reset();
-    EXPECT_TRUE(test::run_to_exhaustion(eng));
-    EXPECT_EQ(got, kMsgs);
-    const std::size_t seg = tx.fm().max_payload_per_packet();
-    return Copies{tx.fm().host().ledger().copies(),
-                  rx.fm().host().ledger().copies(),
-                  (msg_size + seg - 1) / seg, CopyStats::instance().snapshot()};
-  }
-  net::ParallelCluster cl(net::ppro_fm2_cluster(2), 2);
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2), shards);
   fm2::Endpoint ep0(cl.node(0), cl.fabric_of(0));
   fm2::Endpoint ep1(cl.node(1), cl.fabric_of(1));
   mpi::MpiFm2 tx(ep0, opt), rx(ep1, opt);
@@ -180,8 +142,7 @@ Copies rdzv_copies(std::size_t msg_size, bool rdma, int threads = 0) {
   EXPECT_EQ(r.pending_roots, 0);
   EXPECT_EQ(got, kMsgs);
   const std::size_t seg = ep0.max_payload_per_packet();
-  return Copies{cl.node(0).host().ledger().copies(),
-                cl.node(1).host().ledger().copies(),
+  return Copies{ep0.host().ledger().copies(), ep1.host().ledger().copies(),
                 (msg_size + seg - 1) / seg, CopyStats::instance().snapshot()};
 }
 
@@ -225,7 +186,7 @@ TEST(CopyCounts, Fm2ReliableLinkRetentionSharesNotCopies) {
 TEST(CopyCounts, Fm2ParallelShardsAddOnlyTheCrossShardCopies) {
   Copies serial = fm2_copies(8192);
   for (int threads : {1, 2}) {
-    Copies par = fm2_parallel_copies(8192, threads);
+    Copies par = fm2_copies(8192, /*reliable_link=*/false, 2, threads);
     // Modeled charges are thread-count- and sharding-invariant.
     EXPECT_EQ(par.tx, serial.tx) << threads << " threads";
     EXPECT_EQ(par.rx, serial.rx) << threads << " threads";
@@ -269,7 +230,7 @@ TEST(CopyCounts, RendezvousRdmaParallelAddsOnlyCrossShardCopies) {
   constexpr std::size_t kSize = 32 * 1024;
   Copies serial = rdzv_copies(kSize, /*rdma=*/true);
   for (int threads : {1, 2}) {
-    Copies par = rdzv_copies(kSize, /*rdma=*/true, threads);
+    Copies par = rdzv_copies(kSize, /*rdma=*/true, 2, threads);
     EXPECT_EQ(par.real.rdma_bytes, static_cast<std::uint64_t>(kMsgs) * kSize)
         << threads << " threads";
     EXPECT_EQ(par.real.endpoint_bytes, serial.real.endpoint_bytes)

@@ -8,6 +8,7 @@
 
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx {
 namespace {
@@ -25,9 +26,10 @@ struct Pair {
 };
 
 Pair run_fm1() {
-  Engine eng;
-  net::Cluster cluster(eng, net::sparc_fm1_cluster(2));
-  fm1::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::sparc_fm1_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
   eng.spawn([](fm1::Endpoint& ep) -> Task<void> {
@@ -37,15 +39,18 @@ Pair run_fm1() {
   eng.spawn([](fm1::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == kMsgs; });
   }(rx, got));
-  eng.run();
+  cluster.run();
   return {tx.host().ledger(), rx.host().ledger()};
 }
 
-template <typename MpiT>
+// MpiT layers over an EndpointT (fm1::Endpoint or fm2::Endpoint).
+template <typename EndpointT, typename MpiT>
 Pair run_mpi(const net::ClusterParams& cp) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  MpiT tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(cp, 1);
+  Engine& eng = cluster.shard_engine(0);
+  EndpointT ep0(cluster.node(0), cluster.fabric_of(0));
+  EndpointT ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT tx(ep0), rx(ep1);
   eng.spawn([](mpi::Comm& c) -> Task<void> {
     Bytes m(kSize);
     for (int i = 0; i < kMsgs; ++i) co_await c.send(ByteSpan{m}, 1, 0);
@@ -58,7 +63,7 @@ Pair run_mpi(const net::ClusterParams& cp) {
     }
     for (auto& r : reqs) co_await c.wait(r);
   }(rx));
-  eng.run();
+  cluster.run();
   return {tx.fm().host().ledger(), rx.fm().host().ledger()};
 }
 
@@ -82,7 +87,7 @@ TEST(CostStructure, Fm1ReceiverIsReassemblyBound) {
 }
 
 TEST(CostStructure, MpiFm1DrownsInCopies) {
-  auto p = run_mpi<mpi::MpiFm1>(net::sparc_fm1_cluster(2));
+  auto p = run_mpi<fm1::Endpoint, mpi::MpiFm1>(net::sparc_fm1_cluster(2));
   // §3.2: the interface forces memory-to-memory copies on both sides.
   EXPECT_GT(share(p.tx, Cost::kCopy), 0.4);
   EXPECT_GT(share(p.rx, Cost::kCopy), 0.5);
@@ -91,7 +96,7 @@ TEST(CostStructure, MpiFm1DrownsInCopies) {
 }
 
 TEST(CostStructure, MpiFm2MovesEachByteOncePerSide) {
-  auto p = run_mpi<mpi::MpiFm2>(net::ppro_fm2_cluster(2));
+  auto p = run_mpi<fm2::Endpoint, mpi::MpiFm2>(net::ppro_fm2_cluster(2));
   std::uint64_t payload = static_cast<std::uint64_t>(kMsgs) * kSize;
   // One gather copy per byte on send, one stream->user copy on receive
   // (+ 24B headers and small slack).
@@ -102,7 +107,7 @@ TEST(CostStructure, MpiFm2MovesEachByteOncePerSide) {
 }
 
 TEST(CostStructure, MpiFm2MatchingIsThin) {
-  auto p = run_mpi<mpi::MpiFm2>(net::ppro_fm2_cluster(2));
+  auto p = run_mpi<fm2::Endpoint, mpi::MpiFm2>(net::ppro_fm2_cluster(2));
   // The §4.1 claim: with the right interface, the MPI layer adds thin
   // bookkeeping, not data movement. Matching + request mgmt stay a
   // minority of receiver host time; the copy dominates.
@@ -112,9 +117,10 @@ TEST(CostStructure, MpiFm2MatchingIsThin) {
 
 TEST(CostStructure, Fm1VsFm2SendCopyDiscipline) {
   // FM 2.x sender: exactly one gather copy per byte (plus headers).
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
     co_await s.skip(s.remaining());
@@ -127,7 +133,7 @@ TEST(CostStructure, Fm1VsFm2SendCopyDiscipline) {
   eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == kMsgs; });
   }(rx, got));
-  eng.run();
+  cluster.run();
   std::uint64_t payload = static_cast<std::uint64_t>(kMsgs) * kSize;
   EXPECT_GE(tx.host().ledger().copied_bytes(), payload);
   EXPECT_LT(tx.host().ledger().copied_bytes(), payload + kMsgs * 64);

@@ -22,7 +22,7 @@
 #include "fault/injector.hpp"
 #include "fm2/fm2.hpp"
 #include "mpi/mpi_fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sockets/socket_fm.hpp"
 #include "tests/common/sim_fixture.hpp"
 
@@ -49,14 +49,14 @@ constexpr std::size_t kSockBytes = 20'000;
 constexpr std::size_t kMpiSizes[] = {17, 256, 1500, 4096};
 
 std::uint64_t run_workload() {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
   params.nic.reliable_link = true;  // losses recovered, still observable
-  net::Cluster cluster(eng, params);
-  fault::PlanInjector inj(eng, fault::FaultPlan::lossy(0.03, kSeed));
-  fault::arm(cluster, inj);
+  net::ParallelCluster cluster(params, 1);
+  Engine& eng = cluster.shard_engine(0);
+  auto injectors = fault::arm(cluster, fault::FaultPlan::lossy(0.03, kSeed));
 
-  fm2::Endpoint ep0(cluster, 0), ep1(cluster, 1);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
   mpi::MpiFm2 mpi0(ep0), mpi1(ep1);
   sock::SocketFm sock0(ep0), sock1(ep1);
   sock1.listen(80);
@@ -102,7 +102,7 @@ std::uint64_t run_workload() {
     }
   }(eng, d));
 
-  EXPECT_TRUE(test::run_to_exhaustion(eng));
+  EXPECT_TRUE(test::run_to_exhaustion(cluster));
 
   d.mix(eng.now());
   d.mix(eng.events_processed());
@@ -116,9 +116,9 @@ std::uint64_t run_workload() {
   d.mix(s1.handler_resumes);
   d.mix(cluster.node(1).nic().stats().crc_dropped);
   d.mix(cluster.node(1).nic().stats().seq_dropped);
-  d.mix(inj.stats().packets_seen);
-  d.mix(inj.stats().drops);
-  d.mix(inj.stats().corruptions);
+  d.mix(injectors[0]->stats().packets_seen);
+  d.mix(injectors[0]->stats().drops);
+  d.mix(injectors[0]->stats().corruptions);
   return d.h;
 }
 

@@ -8,6 +8,7 @@
 
 #include "ga/global_array.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "shmem/shmem.hpp"
 #include "sockets/socket_fm.hpp"
 #include "tests/common/sim_fixture.hpp"
@@ -19,8 +20,11 @@ using sim::Engine;
 using sim::Task;
 
 struct Node {
-  Node(net::Cluster& cluster, int id)
-      : ep(cluster, id), mpi(ep), sock(ep), shm(ep) {}
+  Node(net::ParallelCluster& cluster, int id)
+      : ep(cluster.node(id), cluster.fabric_of(id)),
+        mpi(ep),
+        sock(ep),
+        shm(ep) {}
   fm2::Endpoint ep;
   mpi::MpiFm2 mpi;
   sock::SocketFm sock;
@@ -28,8 +32,8 @@ struct Node {
 };
 
 TEST(LayerComposition, MpiSocketsShmemShareOneEndpoint) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
   Node n0(cluster, 0), n1(cluster, 1);
   n1.sock.listen(80);
 
@@ -82,7 +86,7 @@ TEST(LayerComposition, MpiSocketsShmemShareOneEndpoint) {
     co_await me.poll_until([&] { return d; });
   }(n1.shm, shm_done));
 
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cluster));
   EXPECT_TRUE(mpi_done);
   EXPECT_TRUE(sock_done);
   EXPECT_TRUE(shm_done);
@@ -101,8 +105,8 @@ TEST(LayerComposition, CrossLayerProgressDriving) {
   // A blocked MPI recv's progress loop must also serve shmem requests
   // arriving at the same node — shared extraction is what makes one-sided
   // ops usable without a dedicated progress thread.
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
   Node n0(cluster, 0), n1(cluster, 1);
 
   bool remote_done = false;
@@ -124,13 +128,13 @@ TEST(LayerComposition, CrossLayerProgressDriving) {
     Bytes m = pattern_bytes(3, 64);
     co_await c.send(ByteSpan{m}, 1, 9);
   }(n0.shm, n0.mpi, remote_done));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cluster));
   EXPECT_TRUE(remote_done);
 }
 
 TEST(LayerComposition, FourNodesCollectivesPlusOneSided) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(4));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(4), 1);
+  Engine& eng = cluster.shard_engine(0);
   std::vector<std::unique_ptr<Node>> nodes;
   for (int i = 0; i < 4; ++i) {
     nodes.push_back(std::make_unique<Node>(cluster, i));
@@ -149,7 +153,7 @@ TEST(LayerComposition, FourNodesCollectivesPlusOneSided) {
       ++d;
     }(*nodes[r], r, done));
   }
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cluster));
   EXPECT_EQ(done, 4);
   for (int r = 0; r < 4; ++r) {
     int writer = (r + 3) % 4;

@@ -10,6 +10,7 @@
 
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx::mpi {
 namespace {
@@ -20,23 +21,28 @@ using sim::Task;
 enum class Backend { kFm1, kFm2 };
 
 struct World {
-  World(Backend be, int n) {
-    params = be == Backend::kFm1 ? net::sparc_fm1_cluster(n)
-                                 : net::ppro_fm2_cluster(n);
-    cluster = std::make_unique<net::Cluster>(eng, params);
+  World(Backend be, int n)
+      : cluster(be == Backend::kFm1 ? net::sparc_fm1_cluster(n)
+                                    : net::ppro_fm2_cluster(n),
+                1) {
     for (int i = 0; i < n; ++i) {
       if (be == Backend::kFm1) {
-        comms.push_back(std::make_unique<MpiFm1>(*cluster, i));
+        fm1_eps.push_back(std::make_unique<fm1::Endpoint>(
+            cluster.node(i), cluster.fabric_of(i)));
+        comms.push_back(std::make_unique<MpiFm1>(*fm1_eps.back()));
       } else {
-        comms.push_back(std::make_unique<MpiFm2>(*cluster, i));
+        fm2_eps.push_back(std::make_unique<fm2::Endpoint>(
+            cluster.node(i), cluster.fabric_of(i)));
+        comms.push_back(std::make_unique<MpiFm2>(*fm2_eps.back()));
       }
     }
   }
   Comm& c(int i) { return *comms[i]; }
 
-  Engine eng;
-  net::ClusterParams params;
-  std::unique_ptr<net::Cluster> cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fm1::Endpoint>> fm1_eps;
+  std::vector<std::unique_ptr<fm2::Endpoint>> fm2_eps;
   std::vector<std::unique_ptr<Comm>> comms;
 };
 
@@ -58,7 +64,7 @@ TEST_P(MpiBothBackends, BasicSendRecv) {
     EXPECT_EQ(st.count, 1000u);
     d = true;
   }(w.c(1), MutByteSpan{out}, done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(out, msg);
   EXPECT_EQ(w.eng.pending_roots(), 0);
@@ -82,7 +88,7 @@ TEST_P(MpiBothBackends, TagSelectsMessage) {
     EXPECT_EQ(got[0], std::byte{1});
     d = true;
   }(w.c(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -106,7 +112,7 @@ TEST_P(MpiBothBackends, WildcardsMatchAnything) {
     EXPECT_NE(st1.source, st2.source);
     d = true;
   }(w.c(2), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -127,7 +133,7 @@ TEST_P(MpiBothBackends, FifoOrderSameSourceAndTag) {
     }
     d = true;
   }(w.c(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -149,7 +155,7 @@ TEST_P(MpiBothBackends, IrecvWaitAndTest) {
     Bytes m = pattern_bytes(4, 64);
     co_await c.send(ByteSpan{m}, 1, 3);
   }(w.c(0)));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -166,7 +172,7 @@ TEST_P(MpiBothBackends, SendrecvExchangeNoDeadlock) {
       ++d;
     }(w.c(me), me, done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -189,7 +195,7 @@ TEST_P(MpiBothBackends, UnexpectedMessagesBufferedUntilPosted) {
     }
     d = true;
   }(w.eng, w.c(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_GT(w.c(1).stats().unexpected, 0u);
 }
@@ -210,7 +216,7 @@ TEST_P(MpiBothBackends, TruncationThrows) {
     }
   }(w.c(1), threw));
   try {
-    w.eng.run();
+    w.cluster.run();
   } catch (const std::runtime_error&) {
     threw = true;  // FM2 raises inside the sender-side driver loop
   }
@@ -227,7 +233,7 @@ TEST_P(MpiBothBackends, ZeroByteMessage) {
     EXPECT_EQ(st.count, 0u);
     d = true;
   }(w.c(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -244,7 +250,7 @@ TEST_P(MpiBothBackends, LargeMessageIntegrity) {
     co_await c.recv(o, 0, 0);
     d = true;
   }(w.c(1), MutByteSpan{out}, done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(pattern_mismatch(11, 0, ByteSpan{out}), -1);
 }
@@ -266,7 +272,7 @@ TEST_P(MpiBothBackends, Barrier) {
       ph[my] = 2;
     }(w.eng, w.c(me), phase, me, n));
   }
-  w.eng.run();
+  w.cluster.run();
   for (int i = 0; i < n; ++i) EXPECT_EQ(phase[i], 2);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -286,7 +292,7 @@ TEST_P(MpiBothBackends, BcastFromEveryRoot) {
         ++d;
       }(w.c(me), me, root, done));
     }
-    w.eng.run();
+    w.cluster.run();
     EXPECT_EQ(done, n);
   }
 }
@@ -314,7 +320,7 @@ TEST_P(MpiBothBackends, ReduceAndAllreduce) {
       ++d;
     }(w.c(me), me, n, done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, n);
 }
 
@@ -330,7 +336,7 @@ TEST_P(MpiBothBackends, Gather) {
       ++d;
     }(w.c(me), me, MutByteSpan{all}, done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, n);
   for (int r = 0; r < n; ++r) {
     EXPECT_EQ(pattern_mismatch(r, 0, ByteSpan{all}.subspan(r * 32, 32)), -1);
@@ -354,7 +360,7 @@ TEST_P(MpiBothBackends, Scatter) {
       ++d;
     }(w.c(me), me, ByteSpan{all}, done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, n);
 }
 
@@ -375,7 +381,7 @@ TEST_P(MpiBothBackends, Allgather) {
       ++d;
     }(w.c(me), me, n, done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, n);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -403,7 +409,7 @@ TEST_P(MpiBothBackends, Alltoall) {
       ++d;
     }(w.c(me), me, n, done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, n);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -437,7 +443,7 @@ TEST_P(MpiBothBackends, WaitallCompletesAWindow) {
       co_await c.send(ByteSpan{m}, 1, i);
     }
   }(w.c(0)));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -463,7 +469,7 @@ TEST_P(MpiBothBackends, ProbeSeesEnvelopeWithoutConsuming) {
     EXPECT_FALSE(co_await c.iprobe(0, 8));  // consumed now
     d = true;
   }(w.c(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -483,7 +489,7 @@ TEST_P(MpiBothBackends, IprobeFalseWhenNothingMatches) {
     co_await c.recv(MutByteSpan{buf}, 0, 5);
     d = true;
   }(w.eng, w.c(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -527,7 +533,7 @@ TEST_P(MpiPropertyTest, RandomSizesTagsOrderAndIntegrity) {
     }
     d = true;
   }(w.c(1), sizes, tags, done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -564,7 +570,7 @@ TEST(MpiFm2Specific, PrePostedWindowIsZeroStaging) {
     Bytes m(kSize);
     for (int i = 0; i < kN; ++i) co_await c.send(ByteSpan{m}, 1, 0);
   }(w.c(0)));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(w.c(1).stats().posted_hits, static_cast<std::uint64_t>(kN));
   EXPECT_EQ(w.c(1).stats().unexpected, 0u);
@@ -589,7 +595,7 @@ TEST(MpiFm1Specific, EvenPrePostedPathCopiesThroughTemp) {
     Bytes m(kSize);
     co_await c.send(ByteSpan{m}, 1, 0);
   }(w.c(0)));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   auto delta = mpi1.fm().host().ledger().diff(before);
   // FM reassembly copies (per packet) + temp copy + temp->user copy.
@@ -628,7 +634,7 @@ TEST(MpiFm2Specific, RecvPostedDuringInFlightUnexpectedMatchesCorrectly) {
     EXPECT_EQ(pattern_mismatch(101, 0, ByteSpan{small}), -1);
     d = true;
   }(w.eng, mpi2, done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_GE(w.c(1).stats().unexpected, 1u);
   EXPECT_EQ(w.eng.pending_roots(), 0);
@@ -650,7 +656,7 @@ TEST(MpiFm2Specific, PostedPayloadBytesCopiedExactlyOnce) {
     Bytes m(kSize);
     co_await c.send(ByteSpan{m}, 1, 0);
   }(w.c(0)));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   auto delta = mpi2.fm().host().ledger().diff(before);
   // Payload + 24-byte header, each byte moved host-side exactly once.
@@ -661,12 +667,14 @@ TEST(MpiFm2Specific, PostedPayloadBytesCopiedExactlyOnce) {
 // --- Rendezvous protocol (MPI-FM 2 extension) -------------------------------
 
 TEST(MpiFm2Rendezvous, LargeMessageRoundTrip) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params, 1);
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 4096;
-  MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 tx(ep0, opt), rx(ep1, opt);
   constexpr std::size_t kBig = 64 * 1024;
   bool done = false;
   eng.spawn([](Comm& c, bool& d) -> Task<void> {
@@ -680,17 +688,19 @@ TEST(MpiFm2Rendezvous, LargeMessageRoundTrip) {
     Bytes m = pattern_bytes(42, kBig);
     co_await c.send(ByteSpan{m}, 1, 0);
   }(tx));
-  eng.run();
+  cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(eng.pending_roots(), 0);
 }
 
 TEST(MpiFm2Rendezvous, UnexpectedRtsWaitsForPostedBuffer) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 1024;
-  MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 tx(ep0, opt), rx(ep1, opt);
   constexpr std::size_t kBig = 32 * 1024;
   bool done = false;
   // Sender goes first: the RTS arrives before any receive is posted.
@@ -707,7 +717,7 @@ TEST(MpiFm2Rendezvous, UnexpectedRtsWaitsForPostedBuffer) {
     EXPECT_EQ(pattern_mismatch(7, 0, ByteSpan{buf}), -1);
     d = true;
   }(eng, rx, done));
-  eng.run();
+  cluster.run();
   EXPECT_TRUE(done);
   // The payload was never staged: each byte was copied host-side exactly
   // once (stream -> user buffer) despite being "unexpected".
@@ -718,11 +728,13 @@ TEST(MpiFm2Rendezvous, UnexpectedLargeMessageIsNotStaged) {
   // Eager: a 32 KB unexpected message costs a 32 KB staging copy.
   // Rendezvous: only the 24 B envelope queues; zero payload staging.
   auto staged_bytes = [](std::size_t threshold) {
-    Engine eng;
-    net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+    net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+    Engine& eng = cluster.shard_engine(0);
     MpiFm2Options opt;
     opt.eager_threshold = threshold;
-    MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+    fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+    fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+    MpiFm2 tx(ep0, opt), rx(ep1, opt);
     constexpr std::size_t kBig = 32 * 1024;
     bool done = false;
     eng.spawn([](Comm& c) -> Task<void> {
@@ -738,7 +750,7 @@ TEST(MpiFm2Rendezvous, UnexpectedLargeMessageIsNotStaged) {
       d = true;
     }(eng, rx, done));
     auto before = rx.fm().host().ledger();
-    eng.run();
+    cluster.run();
     EXPECT_TRUE(done);
     return rx.fm().host().ledger().diff(before).copied_bytes();
   };
@@ -750,11 +762,13 @@ TEST(MpiFm2Rendezvous, UnexpectedLargeMessageIsNotStaged) {
 }
 
 TEST(MpiFm2Rendezvous, MixedEagerAndRendezvousStayOrdered) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 1000;
-  MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 tx(ep0, opt), rx(ep1, opt);
   const std::vector<std::size_t> sizes = {64, 8000, 128, 12000, 16};
   bool done = false;
   eng.spawn([](Comm& c, const std::vector<std::size_t>& sz) -> Task<void> {
@@ -774,17 +788,19 @@ TEST(MpiFm2Rendezvous, MixedEagerAndRendezvousStayOrdered) {
     }
     d = true;
   }(rx, sizes, done));
-  eng.run();
+  cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(eng.pending_roots(), 0);
 }
 
 TEST(MpiFm2Rendezvous, SendrecvExchangeOfLargeMessages) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 2048;
-  MpiFm2 a(cluster, 0, {}, opt), b(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 a(ep0, opt), b(ep1, opt);
   constexpr std::size_t kBig = 20'000;
   int done = 0;
   Comm* comms[2] = {&a, &b};
@@ -798,7 +814,7 @@ TEST(MpiFm2Rendezvous, SendrecvExchangeOfLargeMessages) {
       ++d;
     }(*comms[me], me, done));
   }
-  eng.run();
+  cluster.run();
   EXPECT_EQ(done, 2);  // both rendezvous complete, no deadlock
   EXPECT_EQ(eng.pending_roots(), 0);
 }

@@ -20,7 +20,7 @@
 #include "fault/injector.hpp"
 #include "fault/invariants.hpp"
 #include "mpi/mpi_fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "myrinet/packet.hpp"
 
 namespace fmx::mpi {
@@ -142,16 +142,18 @@ struct SweepResult {
 /// seeds delay the receiver so every RTS lands unexpected (the
 /// post-after-arrival path); even seeds pre-post.
 SweepResult run_sweep(std::uint64_t seed, FaultTarget target) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
   params.nic.reliable_link = true;
-  net::Cluster cl(eng, params);
+  net::ParallelCluster cl(params, 1);
+  Engine& eng = cl.shard_engine(0);
   KindFilterInjector inj(eng, profile_for(seed), target);
-  cl.fabric().set_fault(&inj);
+  cl.fabric_of(0).set_fault(&inj);
 
   MpiFm2Options opt;
   opt.eager_threshold = 4096;
-  MpiFm2 tx(cl, 0, {}, opt), rx(cl, 1, {}, opt);
+  fm2::Endpoint ep0(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint ep1(cl.node(1), cl.fabric_of(1));
+  MpiFm2 tx(ep0, opt), rx(ep1, opt);
   fault::InvariantLedger led;
 
   const std::vector<std::size_t> sizes = {8 * 1024 + 1, 16 * 1024, 512,
@@ -194,7 +196,7 @@ SweepResult run_sweep(std::uint64_t seed, FaultTarget target) {
       ++g;
     }
   }(eng, rx, led, sizes, seed, got));
-  eng.run();
+  cl.run();
 
   // Settle phase: absorb credit returns that landed after the last wait
   // (same convergence argument as the generic fault sweep: extracting a
@@ -210,7 +212,7 @@ SweepResult run_sweep(std::uint64_t seed, FaultTarget target) {
     eng.spawn([](fm2::Endpoint& ep) -> Task<void> {
       (void)co_await ep.extract();
     }(rx.fm()));
-    eng.run();
+    cl.run();
   }
 
   led.check_streams();
@@ -230,7 +232,7 @@ SweepResult run_sweep(std::uint64_t seed, FaultTarget target) {
   SweepResult r;
   r.events = eng.events_processed();
   r.delivered = led.messages_delivered();
-  r.fabric = cl.fabric().stats();
+  r.fabric = cl.fabric_of(0).stats();
   r.nic0 = cl.node(0).nic().stats();
   r.nic1 = cl.node(1).nic().stats();
   r.inj = inj.stats();

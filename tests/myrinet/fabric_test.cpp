@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/sync.hpp"
 
 namespace fmx::net {
@@ -18,21 +18,22 @@ ClusterParams tiny(int n = 2) {
 
 // Drives the fabric directly through NICs (no FM layer yet).
 TEST(Fabric, DeliversPayloadIntact) {
-  Engine eng;
-  Cluster cl(eng, tiny());
+  ParallelCluster cl(tiny(), 1);
+  Engine& eng = cl.shard_engine(0);
   Bytes data = pattern_bytes(1, 300);
-  eng.spawn([](Cluster& c, Bytes d) -> Task<void> {
-    co_await c.node(0).nic().enqueue(SendDescriptor{1, d, true, {}});
+  eng.spawn([](ParallelCluster& c, Bytes d) -> Task<void> {
+    co_await c.node(0).nic().enqueue(SendDescriptor{
+        1, BufferRef::copy_of(ByteSpan{d}), true, {}});
   }(cl, data));
   bool got = false;
-  eng.spawn([](Cluster& c, bool& g) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, bool& g) -> Task<void> {
     RxPacket p = co_await c.node(1).nic().host_ring().pop();
     EXPECT_EQ(p.src, 0);
     EXPECT_EQ(pattern_mismatch(1, 0, p.payload), -1);
     EXPECT_EQ(p.payload.size(), 300u);
     g = true;
   }(cl, got));
-  eng.run();
+  cl.run();
   EXPECT_TRUE(got);
   EXPECT_EQ(eng.pending_roots(), 0);
   EXPECT_EQ(cl.node(1).nic().stats().rx_packets, 1u);
@@ -40,18 +41,19 @@ TEST(Fabric, DeliversPayloadIntact) {
 }
 
 TEST(Fabric, InOrderDeliveryPerSourceDest) {
-  Engine eng;
-  Cluster cl(eng, tiny());
+  ParallelCluster cl(tiny(), 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 50;
-  eng.spawn([](Cluster& c) -> Task<void> {
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       Bytes b(4);
       std::memcpy(b.data(), &i, 4);
-      co_await c.node(0).nic().enqueue(SendDescriptor{1, std::move(b), true, {}});
+      co_await c.node(0).nic().enqueue(SendDescriptor{
+          1, BufferRef::copy_of(ByteSpan{b}), true, {}});
     }
   }(cl));
   int received = 0;
-  eng.spawn([](Cluster& c, int& r) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, int& r) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       RxPacket p = co_await c.node(1).nic().host_ring().pop();
       int v;
@@ -60,26 +62,26 @@ TEST(Fabric, InOrderDeliveryPerSourceDest) {
       ++r;
     }
   }(cl, received));
-  eng.run();
+  cl.run();
   EXPECT_EQ(received, kN);
 }
 
 TEST(Fabric, LatencyMatchesZeroLoadModel) {
-  Engine eng;
   ClusterParams p = tiny();
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
   sim::Ps arrival = 0;
-  eng.spawn([](Cluster& c) -> Task<void> {
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     co_await c.node(0).nic().enqueue(
-        SendDescriptor{1, Bytes(64), true, {}});
+        SendDescriptor{1, BufferRef::copy_of(ByteSpan{Bytes(64)}), true, {}});
   }(cl));
-  eng.spawn([](Cluster& c, sim::Ps& t) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, sim::Ps& t) -> Task<void> {
     RxPacket pk = co_await c.node(1).nic().host_ring().pop();
     t = pk.arrived;
   }(cl, arrival));
-  eng.run();
+  cl.run();
   // Expected: DMA fetch + NIC tx + wire (zero-load) + NIC rx + DMA to host.
-  sim::Ps wire = cl.fabric().zero_load_latency(0, 1, 64);
+  sim::Ps wire = cl.fabric_of(0).zero_load_latency(0, 1, 64);
   sim::Ps dma = cl.node(0).bus().dma_time(64);
   sim::Ps expect =
       dma + p.nic.per_packet_tx + wire + p.nic.per_packet_rx + dma;
@@ -87,25 +89,25 @@ TEST(Fabric, LatencyMatchesZeroLoadModel) {
 }
 
 TEST(Fabric, BandwidthBoundedByBottleneckStage) {
-  Engine eng;
   ClusterParams p = tiny();
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 200;
   constexpr std::size_t kSize = 1024;
   sim::Ps done = 0;
-  eng.spawn([](Cluster& c) -> Task<void> {
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
-      co_await c.node(0).nic().enqueue(
-          SendDescriptor{1, Bytes(kSize), true, {}});
+      co_await c.node(0).nic().enqueue(SendDescriptor{
+          1, BufferRef::copy_of(ByteSpan{Bytes(kSize)}), true, {}});
     }
   }(cl));
-  eng.spawn([](Cluster& c, sim::Ps& d) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, sim::Ps& d) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       (void)co_await c.node(1).nic().host_ring().pop();
     }
-    d = c.engine().now();
+    d = c.shard_engine(0).now();
   }(cl, done));
-  eng.run();
+  cl.run();
   double secs = sim::to_seconds(done);
   double bw = kN * kSize / secs;
   // Bottleneck is the PCI DMA stage: setup + per-byte, one DMA per side of
@@ -117,120 +119,120 @@ TEST(Fabric, BandwidthBoundedByBottleneckStage) {
 }
 
 TEST(Fabric, BitErrorsDetectedAndDropped) {
-  Engine eng;
   ClusterParams p = tiny();
   p.fabric.bit_error_rate = 1e-4;  // absurdly noisy, to force corruption
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 100;
-  eng.spawn([](Cluster& c) -> Task<void> {
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
-      co_await c.node(0).nic().enqueue(
-          SendDescriptor{1, pattern_bytes(i, 512), true, {}});
+      co_await c.node(0).nic().enqueue(SendDescriptor{
+          1, BufferRef::copy_of(ByteSpan{pattern_bytes(i, 512)}), true, {}});
     }
   }(cl));
   int received = 0;
-  eng.spawn_daemon([](Cluster& c, int& r) -> Task<void> {
+  eng.spawn_daemon([](ParallelCluster& c, int& r) -> Task<void> {
     for (;;) {
       RxPacket pk = co_await c.node(1).nic().host_ring().pop();
       (void)pk;
       ++r;
     }
   }(cl, received));
-  eng.run();
+  cl.run();
   const auto& nic = cl.node(1).nic().stats();
-  const auto& fab = cl.fabric().stats();
+  const auto& fab = cl.fabric_of(0).stats();
   EXPECT_GT(fab.corrupted, 0u);
   EXPECT_EQ(nic.crc_dropped, fab.corrupted);
   EXPECT_EQ(received + static_cast<int>(nic.crc_dropped), kN);
 }
 
 TEST(Fabric, CorruptedPayloadNeverReachesHost) {
-  Engine eng;
   ClusterParams p = tiny();
   p.fabric.bit_error_rate = 1e-4;
-  Cluster cl(eng, p);
-  eng.spawn([](Cluster& c) -> Task<void> {
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < 200; ++i) {
-      co_await c.node(0).nic().enqueue(
-          SendDescriptor{1, pattern_bytes(7, 256), true, {}});
+      co_await c.node(0).nic().enqueue(SendDescriptor{
+          1, BufferRef::copy_of(ByteSpan{pattern_bytes(7, 256)}), true, {}});
     }
   }(cl));
-  eng.spawn_daemon([](Cluster& c) -> Task<void> {
+  eng.spawn_daemon([](ParallelCluster& c) -> Task<void> {
     for (;;) {
       RxPacket pk = co_await c.node(1).nic().host_ring().pop();
       // Every packet that reaches the host passed CRC => intact bytes.
       EXPECT_EQ(pattern_mismatch(7, 0, pk.payload), -1);
     }
   }(cl));
-  eng.run();
+  cl.run();
   EXPECT_GT(cl.node(1).nic().stats().crc_dropped, 0u);
 }
 
 TEST(Fabric, MultiSwitchRouting) {
-  Engine eng;
   ClusterParams p = tiny(20);  // hosts_per_switch=8 -> 3 switches
-  Cluster cl(eng, p);
-  EXPECT_EQ(cl.fabric().hops(0, 7), 1);
-  EXPECT_EQ(cl.fabric().hops(0, 8), 2);
-  EXPECT_EQ(cl.fabric().hops(0, 19), 3);
-  EXPECT_EQ(cl.fabric().hops(5, 5), 0);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
+  EXPECT_EQ(cl.fabric_of(0).hops(0, 7), 1);
+  EXPECT_EQ(cl.fabric_of(0).hops(0, 8), 2);
+  EXPECT_EQ(cl.fabric_of(0).hops(0, 19), 3);
+  EXPECT_EQ(cl.fabric_of(0).hops(5, 5), 0);
   // Cross-switch send works end to end.
   bool got = false;
-  eng.spawn([](Cluster& c) -> Task<void> {
-    co_await c.node(0).nic().enqueue(
-        SendDescriptor{19, pattern_bytes(3, 100), true, {}});
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
+    co_await c.node(0).nic().enqueue(SendDescriptor{
+        19, BufferRef::copy_of(ByteSpan{pattern_bytes(3, 100)}), true, {}});
   }(cl));
-  eng.spawn([](Cluster& c, bool& g) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, bool& g) -> Task<void> {
     RxPacket pk = co_await c.node(19).nic().host_ring().pop();
     EXPECT_EQ(pk.src, 0);
     EXPECT_EQ(pattern_mismatch(3, 0, pk.payload), -1);
     g = true;
   }(cl, got));
-  eng.run();
+  cl.run();
   EXPECT_TRUE(got);
   // Longer routes cost more zero-load latency.
-  EXPECT_GT(cl.fabric().zero_load_latency(0, 19, 64),
-            cl.fabric().zero_load_latency(0, 7, 64));
+  EXPECT_GT(cl.fabric_of(0).zero_load_latency(0, 19, 64),
+            cl.fabric_of(0).zero_load_latency(0, 7, 64));
 }
 
 TEST(Fabric, LoopbackDelivery) {
-  Engine eng;
-  Cluster cl(eng, tiny());
+  ParallelCluster cl(tiny(), 1);
+  Engine& eng = cl.shard_engine(0);
   bool got = false;
-  eng.spawn([](Cluster& c, bool& g) -> Task<void> {
-    co_await c.node(0).nic().enqueue(
-        SendDescriptor{0, pattern_bytes(9, 40), true, {}});
+  eng.spawn([](ParallelCluster& c, bool& g) -> Task<void> {
+    co_await c.node(0).nic().enqueue(SendDescriptor{
+        0, BufferRef::copy_of(ByteSpan{pattern_bytes(9, 40)}), true, {}});
     RxPacket pk = co_await c.node(0).nic().host_ring().pop();
     EXPECT_EQ(pk.src, 0);
     EXPECT_EQ(pattern_mismatch(9, 0, pk.payload), -1);
     g = true;
   }(cl, got));
-  eng.run();
+  cl.run();
   EXPECT_TRUE(got);
 }
 
 TEST(Fabric, ContentionTwoSendersOneReceiver) {
-  Engine eng;
   ClusterParams p = tiny(3);
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 100;
   constexpr std::size_t kSize = 1024;
   for (int s = 0; s < 2; ++s) {
-    eng.spawn([](Cluster& c, int src) -> Task<void> {
+    eng.spawn([](ParallelCluster& c, int src) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
-        co_await c.node(src).nic().enqueue(
-            SendDescriptor{2, Bytes(kSize), true, {}});
+        co_await c.node(src).nic().enqueue(SendDescriptor{
+            2, BufferRef::copy_of(ByteSpan{Bytes(kSize)}), true, {}});
       }
     }(cl, s));
   }
   sim::Ps done = 0;
-  eng.spawn([](Cluster& c, sim::Ps& d) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, sim::Ps& d) -> Task<void> {
     for (int i = 0; i < 2 * kN; ++i) {
       (void)co_await c.node(2).nic().host_ring().pop();
     }
-    d = c.engine().now();
+    d = c.shard_engine(0).now();
   }(cl, done));
-  eng.run();
+  cl.run();
   // Receiver's bus is now the shared bottleneck: aggregate bandwidth is
   // capped near the single-stream bound, not doubled.
   double bw = 2.0 * kN * kSize / sim::to_seconds(done);
@@ -240,21 +242,22 @@ TEST(Fabric, ContentionTwoSendersOneReceiver) {
 }
 
 TEST(Fabric, BackPressureLimitsInFlight) {
-  Engine eng;
   ClusterParams p = tiny();
   p.nic.sram_rx_slots = 2;
   p.nic.host_ring_slots = 2;
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
   int sent = 0;
   // Receiver never drains: sender must stall after filling
   // ring (2) + SRAM slack (2) + tx queue (16) + 1 in the NIC's hands.
-  eng.spawn([](Cluster& c, int& s) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, int& s) -> Task<void> {
     for (int i = 0; i < 100; ++i) {
-      co_await c.node(0).nic().enqueue(SendDescriptor{1, Bytes(64), true, {}});
+      co_await c.node(0).nic().enqueue(SendDescriptor{
+          1, BufferRef::copy_of(ByteSpan{Bytes(64)}), true, {}});
       ++s;
     }
   }(cl, sent));
-  eng.run();
+  cl.run();
   EXPECT_LT(sent, 30);
   EXPECT_EQ(eng.pending_roots(), 1);  // sender is rightly stuck
 }

@@ -3,8 +3,7 @@
 // cross-shard thread timing, so every shard parks the structural worst
 // case at construction (up to the pool's retention limit — nothing is
 // allocated only to be freed again). A 1-shard cluster reaches its high
-// water in the warm-up wave, as a serial run does, and allocates nothing
-// up front.
+// water in the warm-up wave and allocates nothing up front.
 #include <gtest/gtest.h>
 
 #include "myrinet/parallel_cluster.hpp"

@@ -7,7 +7,7 @@
 #include "common/crc32.hpp"
 #include "fault/injector.hpp"
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::net {
@@ -24,17 +24,17 @@ ClusterParams lossy_reliable(double ber, int n = 2) {
 }
 
 TEST(ReliableLink, RecoversFromInjectedErrors) {
-  Engine eng;
-  Cluster cl(eng, lossy_reliable(2e-5));
+  ParallelCluster cl(lossy_reliable(2e-5), 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 300;
-  eng.spawn([](Cluster& c) -> Task<void> {
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
-      co_await c.node(0).nic().enqueue(
-          SendDescriptor(1, pattern_bytes(i, 512), true));
+      co_await c.node(0).nic().enqueue(SendDescriptor(
+          1, BufferRef::copy_of(ByteSpan{pattern_bytes(i, 512)}), true));
     }
   }(cl));
   int got = 0;
-  eng.spawn([](Cluster& c, int& g) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, int& g) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       RxPacket p = co_await c.node(1).nic().host_ring().pop();
       // Reliable AND in order AND intact.
@@ -42,9 +42,9 @@ TEST(ReliableLink, RecoversFromInjectedErrors) {
       ++g;
     }
   }(cl, got));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cl));
   EXPECT_EQ(got, kN);
-  EXPECT_GT(cl.fabric().stats().corrupted, 0u);           // errors happened
+  EXPECT_GT(cl.fabric_stats().corrupted, 0u);              // errors happened
   EXPECT_GT(cl.node(0).nic().stats().retransmissions, 0u); // and were fixed
   EXPECT_EQ(cl.node(0).nic().unacked(), 0u);               // fully acked
 }
@@ -54,24 +54,25 @@ TEST(ReliableLink, RecoversFromInjectedDrops) {
   // errors: go-back-N must fill every gap, discard every duplicate, and
   // deliver the byte-exact payload — re-verified here with an independent
   // CRC over what actually landed in host memory.
-  Engine eng;
-  Cluster cl(eng, lossy_reliable(0.0));  // clean wire; faults are injected
+  ParallelCluster cl(lossy_reliable(0.0), 1);  // clean wire; faults injected
+  Engine& eng = cl.shard_engine(0);
   fault::FaultPlan plan = fault::FaultPlan::clean(17);
   plan.wire.drop = 0.05;
   plan.wire.duplicate = 0.05;
-  fault::PlanInjector inj(eng, plan);
-  fault::arm(cl, inj);
+  auto injectors = fault::arm(cl, plan);
   constexpr int kN = 300;
   std::vector<std::uint32_t> sent_crc(kN);
-  eng.spawn([](Cluster& c, std::vector<std::uint32_t>& crcs) -> Task<void> {
+  eng.spawn([](ParallelCluster& c,
+               std::vector<std::uint32_t>& crcs) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       Bytes m = pattern_bytes(i, 512);
       crcs[static_cast<std::size_t>(i)] = crc32(m);
-      co_await c.node(0).nic().enqueue(SendDescriptor(1, std::move(m), true));
+      co_await c.node(0).nic().enqueue(SendDescriptor(
+          1, BufferRef::copy_of(ByteSpan{m}), true));
     }
   }(cl, sent_crc));
   int got = 0;
-  eng.spawn([](Cluster& c, const std::vector<std::uint32_t>& crcs,
+  eng.spawn([](ParallelCluster& c, const std::vector<std::uint32_t>& crcs,
                int& g) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       RxPacket p = co_await c.node(1).nic().host_ring().pop();
@@ -83,9 +84,9 @@ TEST(ReliableLink, RecoversFromInjectedDrops) {
       ++g;
     }
   }(cl, sent_crc, got));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cl));
   EXPECT_EQ(got, kN);
-  EXPECT_GT(inj.stats().drops, 0u);                         // drops happened
+  EXPECT_GT(injectors[0]->stats().drops, 0u);               // drops happened
   EXPECT_GT(cl.node(0).nic().stats().retransmissions, 0u);  // and were fixed
   // Injected duplicates (and go-back-N's own re-sends of packets that did
   // arrive) were discarded by the sequence check, not delivered twice.
@@ -94,24 +95,25 @@ TEST(ReliableLink, RecoversFromInjectedDrops) {
 }
 
 TEST(ReliableLink, WithoutItErrorsLoseData) {
-  Engine eng;
   ClusterParams p = ppro_fm2_cluster(2);
   p.fabric.bit_error_rate = 2e-5;  // reliable_link stays OFF
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 300;
-  eng.spawn([](Cluster& c) -> Task<void> {
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
-      co_await c.node(0).nic().enqueue(SendDescriptor(1, Bytes(512), true));
+      co_await c.node(0).nic().enqueue(SendDescriptor(
+          1, BufferRef::copy_of(ByteSpan{Bytes(512)}), true));
     }
   }(cl));
   int got = 0;
-  eng.spawn_daemon([](Cluster& c, int& g) -> Task<void> {
+  eng.spawn_daemon([](ParallelCluster& c, int& g) -> Task<void> {
     for (;;) {
       (void)co_await c.node(1).nic().host_ring().pop();
       ++g;
     }
   }(cl, got));
-  eng.run();
+  cl.run();
   EXPECT_LT(got, kN);  // some packets were silently lost
   EXPECT_GT(cl.node(1).nic().stats().crc_dropped, 0u);
 }
@@ -120,24 +122,25 @@ TEST(ReliableLink, NoLossFastPathOverheadIsSmall) {
   // With zero error rate the protocol costs only acks: bandwidth within a
   // few percent of the baseline.
   auto run = [](bool reliable) {
-    Engine eng;
     ClusterParams p = ppro_fm2_cluster(2);
     p.nic.reliable_link = reliable;
-    Cluster cl(eng, p);
+    ParallelCluster cl(p, 1);
+    Engine& eng = cl.shard_engine(0);
     constexpr int kN = 200;
     sim::Ps t_end = 0;
-    eng.spawn([](Cluster& c) -> Task<void> {
+    eng.spawn([](ParallelCluster& c) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
-        co_await c.node(0).nic().enqueue(SendDescriptor(1, Bytes(1024), true));
+        co_await c.node(0).nic().enqueue(SendDescriptor(
+            1, BufferRef::copy_of(ByteSpan{Bytes(1024)}), true));
       }
     }(cl));
-    eng.spawn([](Engine& e, Cluster& c, sim::Ps& end) -> Task<void> {
+    eng.spawn([](Engine& e, ParallelCluster& c, sim::Ps& end) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
         (void)co_await c.node(1).nic().host_ring().pop();
       }
       end = e.now();
     }(eng, cl, t_end));
-    eng.run();
+    cl.run();
     return 1024.0 * kN / sim::to_seconds(t_end);
   };
   double base = run(false);
@@ -148,47 +151,47 @@ TEST(ReliableLink, NoLossFastPathOverheadIsSmall) {
 TEST(ReliableLink, SurvivesAckLoss) {
   // Acks are packets too and get corrupted; duplicates must be discarded
   // by sequence checks and re-acked.
-  Engine eng;
-  Cluster cl(eng, lossy_reliable(8e-5));
+  ParallelCluster cl(lossy_reliable(8e-5), 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 150;
-  eng.spawn([](Cluster& c) -> Task<void> {
+  eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
-      co_await c.node(0).nic().enqueue(
-          SendDescriptor(1, pattern_bytes(i, 256), true));
+      co_await c.node(0).nic().enqueue(SendDescriptor(
+          1, BufferRef::copy_of(ByteSpan{pattern_bytes(i, 256)}), true));
     }
   }(cl));
   int got = 0;
-  eng.spawn([](Cluster& c, int& g) -> Task<void> {
+  eng.spawn([](ParallelCluster& c, int& g) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       RxPacket p = co_await c.node(1).nic().host_ring().pop();
       EXPECT_EQ(pattern_mismatch(g, 0, p.payload), -1);
       ++g;
     }
   }(cl, got));
-  eng.run();
+  cl.run();
   EXPECT_EQ(got, kN);
   // Retransmissions of already-delivered packets were dropped as dups.
   EXPECT_GT(cl.node(1).nic().stats().seq_dropped, 0u);
 }
 
 TEST(ReliableLink, BidirectionalTrafficPiggybacksAcks) {
-  Engine eng;
-  Cluster cl(eng, lossy_reliable(0.0));
+  ParallelCluster cl(lossy_reliable(0.0), 1);
+  Engine& eng = cl.shard_engine(0);
   constexpr int kN = 100;
   for (int dir = 0; dir < 2; ++dir) {
-    eng.spawn([](Cluster& c, int from) -> Task<void> {
+    eng.spawn([](ParallelCluster& c, int from) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
-        co_await c.node(from).nic().enqueue(
-            SendDescriptor(1 - from, Bytes(256), true));
+        co_await c.node(from).nic().enqueue(SendDescriptor(
+            1 - from, BufferRef::copy_of(ByteSpan{Bytes(256)}), true));
       }
     }(cl, dir));
-    eng.spawn([](Cluster& c, int at) -> Task<void> {
+    eng.spawn([](ParallelCluster& c, int at) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
         (void)co_await c.node(at).nic().host_ring().pop();
       }
     }(cl, dir));
   }
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cl));
   // With reverse data flowing, most acks ride piggyback: far fewer
   // explicit ack packets than data packets.
   EXPECT_LT(cl.node(0).nic().stats().acks_sent, kN);
@@ -197,9 +200,10 @@ TEST(ReliableLink, BidirectionalTrafficPiggybacksAcks) {
 TEST(ReliableLink, Fm2StackRunsIntactOverLossyFabric) {
   // The full FM 2.x protocol (credits, streams, handlers) on top of the
   // reliable-link extension, over a genuinely lossy wire.
-  Engine eng;
-  Cluster cl(eng, lossy_reliable(2e-5));
-  fm2::Endpoint tx(cl, 0), rx(cl, 1);
+  ParallelCluster cl(lossy_reliable(2e-5), 1);
+  Engine& eng = cl.shard_engine(0);
+  fm2::Endpoint tx(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint rx(cl.node(1), cl.fabric_of(1));
   constexpr int kMsgs = 20;
   int seen = 0;
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -217,9 +221,9 @@ TEST(ReliableLink, Fm2StackRunsIntactOverLossyFabric) {
   eng.spawn([](fm2::Endpoint& ep, int& n) -> Task<void> {
     co_await ep.poll_until([&] { return n == kMsgs; });
   }(rx, seen));
-  ASSERT_TRUE(fmx::test::run_to_exhaustion(eng));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cl));
   EXPECT_EQ(seen, kMsgs);
-  EXPECT_GT(cl.fabric().stats().corrupted, 0u);
+  EXPECT_GT(cl.fabric_stats().corrupted, 0u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx::net {
 namespace {
@@ -12,11 +12,10 @@ using sim::Engine;
 using sim::Task;
 
 TEST(Topology, LatencyGrowsWithHopCount) {
-  Engine eng;
   ClusterParams p = ppro_fm2_cluster(24);  // 3 switches of 8
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
   auto lat = [&](int dst) {
-    return cl.fabric().zero_load_latency(0, dst, 128);
+    return cl.fabric_of(0).zero_load_latency(0, dst, 128);
   };
   // Same switch < one chain hop < two chain hops.
   EXPECT_LT(lat(7), lat(8));
@@ -29,7 +28,6 @@ TEST(Topology, InterSwitchLinkIsSharedBottleneck) {
   // Four flows all crossing the same inter-switch link split its capacity;
   // four intra-switch flows do not contend.
   auto run = [](bool cross_switch) {
-    Engine eng;
     ClusterParams p = ppro_fm2_cluster(16);
     // Make endpoints fast so the wire is the bottleneck.
     p.bus.dma_setup = 0;
@@ -37,7 +35,8 @@ TEST(Topology, InterSwitchLinkIsSharedBottleneck) {
     p.nic.per_packet_tx = sim::ns(100);
     p.nic.per_packet_rx = sim::ns(100);
     p.nic.sram_rx_slots = 64;
-    Cluster cl(eng, p);
+    ParallelCluster cl(p, 1);
+    Engine& eng = cl.shard_engine(0);
     constexpr int kN = 100;
     constexpr std::size_t kSize = 1024;
     int flows = 4;
@@ -45,20 +44,20 @@ TEST(Topology, InterSwitchLinkIsSharedBottleneck) {
     for (int f = 0; f < flows; ++f) {
       int src = f;                            // switch 0
       int dst = cross_switch ? 8 + f : 4 + f; // switch 1 vs switch 0
-      eng.spawn([](Cluster& c, int s, int d) -> Task<void> {
+      eng.spawn([](ParallelCluster& c, int s, int d) -> Task<void> {
         for (int i = 0; i < kN; ++i) {
-          co_await c.node(s).nic().enqueue(
-              SendDescriptor(d, Bytes(kSize), true));
+          co_await c.node(s).nic().enqueue(SendDescriptor(
+              d, BufferRef::copy_of(ByteSpan{Bytes(kSize)}), true));
         }
       }(cl, src, dst));
-      eng.spawn([](Cluster& c, int d, int& dn) -> Task<void> {
+      eng.spawn([](ParallelCluster& c, int d, int& dn) -> Task<void> {
         for (int i = 0; i < kN; ++i) {
           (void)co_await c.node(d).nic().host_ring().pop();
         }
         ++dn;
       }(cl, dst, done));
     }
-    eng.run();
+    cl.run();
     EXPECT_EQ(done, flows);
     return flows * kN * kSize / sim::to_seconds(eng.now());
   };
@@ -73,12 +72,12 @@ TEST(Topology, IncastBackPressurePacesAllSenders) {
   // 7-to-1 incast over FM 2.x: credits divide the receiver ring, everyone
   // completes, and nothing overflows (no drops exist by construction —
   // what's checked is completion and bounded ring occupancy).
-  Engine eng;
   ClusterParams p = ppro_fm2_cluster(8);
-  Cluster cl(eng, p);
+  ParallelCluster cl(p, 1);
+  Engine& eng = cl.shard_engine(0);
   std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   for (int i = 0; i < 8; ++i) {
-    eps.push_back(std::make_unique<fm2::Endpoint>(cl, i));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i)));
   }
   constexpr int kMsgs = 30;
   int got = 0;
@@ -98,21 +97,22 @@ TEST(Topology, IncastBackPressurePacesAllSenders) {
   eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == 7 * kMsgs; });
   }(*eps[7], got));
-  eng.run();
+  cl.run();
   EXPECT_EQ(got, 7 * kMsgs);
   EXPECT_EQ(eng.pending_roots(), 0);
 }
 
 TEST(Determinism, IdenticalRunsBitForBit) {
   auto run_fingerprint = [] {
-    Engine eng;
     ClusterParams p = ppro_fm2_cluster(4);
     p.fabric.bit_error_rate = 1e-5;
     p.nic.reliable_link = true;
-    Cluster cl(eng, p);
+    ParallelCluster cl(p, 1);
+    Engine& eng = cl.shard_engine(0);
     std::vector<std::unique_ptr<fm2::Endpoint>> eps;
     for (int i = 0; i < 4; ++i) {
-      eps.push_back(std::make_unique<fm2::Endpoint>(cl, i));
+      eps.push_back(
+          std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i)));
     }
     std::uint64_t order_hash = 0;
     int total = 0;
@@ -143,7 +143,7 @@ TEST(Determinism, IdenticalRunsBitForBit) {
       }
       for (auto& ep : es) ep->kick();  // release the serving loops
     }(eng, eps, total));
-    eng.run(eng.now() + sim::seconds(1));  // bounded; quiesces far earlier
+    cl.run();
     return std::tuple{total, eng.events_processed(), order_hash};
   };
   auto a = run_fingerprint();

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "ga/global_array.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx::shmem {
 namespace {
@@ -14,15 +15,18 @@ using sim::Task;
 
 struct World {
   explicit World(int n, Config cfg = {})
-      : cluster(eng, net::ppro_fm2_cluster(n)) {
+      : cluster(net::ppro_fm2_cluster(n), 1) {
     for (int i = 0; i < n; ++i) {
-      pes.push_back(std::make_unique<ShmemCtx>(cluster, i, cfg));
+      eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
+                                                    cluster.fabric_of(i)));
+      pes.push_back(std::make_unique<ShmemCtx>(*eps.back(), cfg));
     }
   }
   ShmemCtx& pe(int i) { return *pes[i]; }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<ShmemCtx>> pes;
 };
 
@@ -39,7 +43,7 @@ TEST(Shmem, PutLandsInRemoteHeap) {
   w.eng.spawn([](ShmemCtx& me, bool& d) -> Task<void> {
     co_await me.poll_until([&] { return d; });
   }(w.pe(1), done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   EXPECT_EQ(pattern_mismatch(1, 0, ByteSpan{w.pe(1).heap()}.subspan(100, 500)),
             -1);
@@ -61,7 +65,7 @@ TEST(Shmem, GetReadsRemoteHeap) {
   w.eng.spawn([](ShmemCtx& me, bool& d) -> Task<void> {
     co_await me.poll_until([&] { return d; });
   }(w.pe(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -79,7 +83,7 @@ TEST(Shmem, QuietWaitsForAllPuts) {
   w.eng.spawn([](ShmemCtx& me, bool& d) -> Task<void> {
     co_await me.poll_until([&] { return d; });
   }(w.pe(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(w.pe(0).stats().puts, 10u);
 }
@@ -104,7 +108,7 @@ TEST(Shmem, FetchAddIsAtomicAcrossPes) {
   w.eng.spawn([](ShmemCtx& me, int& d) -> Task<void> {
     co_await me.poll_until([&] { return d == 2; });
   }(w.pe(2), done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_EQ(done, 2);
   std::int64_t final_v;
   std::memcpy(&final_v, w.pe(2).heap().data(), sizeof(final_v));
@@ -128,7 +132,7 @@ TEST(Shmem, AccumulateSumsElementwise) {
   w.eng.spawn([](ShmemCtx& me, bool& d) -> Task<void> {
     co_await me.poll_until([&] { return d; });
   }(w.pe(1), done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   const double* out = reinterpret_cast<const double*>(w.pe(1).heap().data());
   for (int i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(out[i], 3.5);
@@ -142,7 +146,7 @@ TEST(Shmem, PutBeyondHeapThrows) {
         co_await me.put(1, me.heap().size() - 10, ByteSpan{b}),
         std::out_of_range);
   }(w.pe(0)));
-  w.eng.run();
+  w.cluster.run();
 }
 
 TEST(Shmem, LocalLoopbackPutGet) {
@@ -157,7 +161,7 @@ TEST(Shmem, LocalLoopbackPutGet) {
     EXPECT_EQ(pattern_mismatch(3, 0, ByteSpan{out}), -1);
     d = true;
   }(w.pe(0), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -202,7 +206,7 @@ TEST(GlobalArrays, PutGetRoundTripAcrossOwners) {
       co_await me.poll_until([&] { return d; });
     }(w.pe(p), done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -226,7 +230,7 @@ TEST(GlobalArrays, AccumulateAddsIntoRemoteRows) {
   w.eng.spawn([](ShmemCtx& me, bool& d) -> Task<void> {
     co_await me.poll_until([&] { return d; });
   }(w.pe(1), done));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   for (std::size_t i = 0; i < 2 * C; ++i) {
     EXPECT_DOUBLE_EQ(g1.local_rows()[i], 2.0);
@@ -256,7 +260,7 @@ TEST(GlobalArrays, ConcurrentAccumulatesFromAllPes) {
     while (d < 4) co_await e.delay(sim::ms(1));
     for (int p = 0; p < 4; ++p) ww.pe(p).kick();
   }(w.eng, w, done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, 4);
   // All 4 PEs accumulated 1.0 into every cell: each local block reads 4.0.
   for (int p = 0; p < 4; ++p) {
@@ -272,7 +276,7 @@ TEST(GlobalArrays, PatchSizeMismatchThrows) {
     std::vector<double> wrong(7);
     EXPECT_THROW(co_await ga_.put_rows(0, 2, wrong), std::invalid_argument);
   }(g, w.pe(0)));
-  w.eng.run();
+  w.cluster.run();
 }
 
 }  // namespace

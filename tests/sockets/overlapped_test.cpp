@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "myrinet/parallel_cluster.hpp"
+
 namespace fmx::sock {
 namespace {
 
@@ -11,14 +13,17 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  World() : cluster(eng, net::ppro_fm2_cluster(2)) {
+  World() : cluster(net::ppro_fm2_cluster(2), 1) {
     for (int i = 0; i < 2; ++i) {
-      stacks.push_back(std::make_unique<SocketFm>(cluster, i));
+      eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
+                                                    cluster.fabric_of(i)));
+      stacks.push_back(std::make_unique<SocketFm>(*eps.back()));
     }
     stacks[1]->listen(9);
   }
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<SocketFm>> stacks;
 };
 
@@ -48,7 +53,7 @@ TEST(Overlapped, PostedBuffersCompleteInOrder) {
     Bytes m = pattern_bytes(6, 300);
     co_await c->send(ByteSpan{m});
   }(w.eng, *w.stacks[0]));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -72,7 +77,7 @@ TEST(Overlapped, WaitAnyPicksTheCompletedOne) {
     Bytes m(64);
     co_await c->send(ByteSpan{m});
   }(*w.stacks[0]));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -101,7 +106,7 @@ TEST(Overlapped, SendAndRecvOverlap) {
     co_await ov.wait(r);
     ++d;
   }(w.eng, *w.stacks[0], done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, 2);
 }
 
@@ -121,7 +126,7 @@ TEST(Overlapped, EofCompletesPostedRecvWithZero) {
     Socket* c = co_await s.connect(1, 9);
     co_await c->close();  // no data, straight to FIN
   }(*w.stacks[0]));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "myrinet/parallel_cluster.hpp"
 #include "sockets/socket_fm.hpp"
 
 namespace fmx::sock {
@@ -14,14 +15,17 @@ using sim::Task;
 
 struct World {
   explicit World(int n, Config cfg = {})
-      : cluster(eng, net::ppro_fm2_cluster(n)) {
+      : cluster(net::ppro_fm2_cluster(n), 1) {
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<SocketFm>(cluster, i, cfg));
+      eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
+                                                    cluster.fabric_of(i)));
+      stacks.push_back(std::make_unique<SocketFm>(*eps.back(), cfg));
     }
   }
   SocketFm& at(int i) { return *stacks[i]; }
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<SocketFm>> stacks;
 };
 
@@ -53,7 +57,7 @@ TEST(SocketEdge, FullDuplexSimultaneousTransfer) {
     EXPECT_EQ(pattern_mismatch(10, 0, ByteSpan{theirs}), -1);
     ++d;
   }(w.at(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -76,7 +80,7 @@ TEST(SocketEdge, ManyTinyWritesOneBigRead) {
     EXPECT_EQ(pattern_mismatch(4, 0, ByteSpan{buf}), -1);
     d = true;
   }(w.at(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -102,7 +106,7 @@ TEST(SocketEdge, EofAfterBufferedDataIsDrainedLast) {
     EXPECT_EQ(co_await c->recv(MutByteSpan{more}), 0u);
     d = true;
   }(w.eng, w.at(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -118,7 +122,7 @@ TEST(SocketEdge, ZeroByteRecvReturnsImmediately) {
     EXPECT_EQ(co_await c->recv({}), 0u);  // empty buffer: no blocking
     d = true;
   }(w.at(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -144,7 +148,7 @@ TEST(SocketEdge, PartialReadLeavesRemainderBuffered) {
     EXPECT_EQ(pattern_mismatch(8, 300, ByteSpan{rest}), -1);
     d = true;
   }(w.eng, w.at(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -162,7 +166,7 @@ TEST(SocketEdge, AcceptBeforeConnectAlsoWorks) {
     co_await e.delay(sim::us(500));
     (void)co_await s.connect(1, 6);
   }(w.eng, w.at(0)));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 

@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "myrinet/parallel_cluster.hpp"
+
 namespace fmx::sock {
 namespace {
 
@@ -11,16 +13,19 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(int n, Config cfg = {}) : cluster(eng,
-                                                   net::ppro_fm2_cluster(n)) {
+  explicit World(int n, fm2::Config fm_cfg = {})
+      : cluster(net::ppro_fm2_cluster(n), 1) {
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<SocketFm>(cluster, i, cfg));
+      eps.push_back(std::make_unique<fm2::Endpoint>(
+          cluster.node(i), cluster.fabric_of(i), fm_cfg));
+      stacks.push_back(std::make_unique<SocketFm>(*eps.back()));
     }
   }
   SocketFm& at(int i) { return *stacks[i]; }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<SocketFm>> stacks;
 };
 
@@ -38,7 +43,7 @@ TEST(SocketFm, ConnectAcceptEstablishes) {
     EXPECT_EQ(c->peer_node(), 0);
     ok = true;
   }(w.at(1), server_ok));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(client_ok);
   EXPECT_TRUE(server_ok);
   EXPECT_EQ(w.eng.pending_roots(), 0);
@@ -63,7 +68,7 @@ TEST(SocketFm, EchoRoundTrip) {
     co_await c->recv_exact(MutByteSpan{buf});
     co_await c->send(ByteSpan{buf});
   }(w.at(1)));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -89,7 +94,7 @@ TEST(SocketFm, LargeTransferIntegrityAndFragmentation) {
     EXPECT_EQ(co_await c->recv(MutByteSpan{extra}), 0u);
     d = true;
   }(w.at(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -114,7 +119,7 @@ TEST(SocketFm, StreamHasNoMessageBoundaries) {
     EXPECT_EQ(pattern_mismatch(2, 0, ByteSpan{buf}), -1);
     d = true;
   }(w.at(1), done));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(done);
 }
 
@@ -136,7 +141,7 @@ TEST(SocketFm, PendingRecvTakesZeroCopyPath) {
     Bytes msg(64 * 1024);
     co_await c->send(ByteSpan{msg});
   }(w.eng, w.at(0)));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_TRUE(done);
   // The bulk of the data went straight into the user buffer.
   EXPECT_GT(w.at(1).stats().zero_copy_bytes, 60 * 1024u);
@@ -159,7 +164,7 @@ TEST(SocketFm, UnreadDataIsBuffered) {
     // Extract without a posted recv: data must be buffered.
     co_await s.fm().poll_until([&] { return f && c->buffered() >= 1024; });
   }(w.at(1), srv, sent));
-  w.eng.run();
+  w.cluster.run();
   ASSERT_NE(srv, nullptr);
   EXPECT_EQ(srv->buffered(), 1024u);
   EXPECT_GE(w.at(1).stats().buffered_bytes, 1024u);
@@ -170,7 +175,7 @@ TEST(SocketFm, UnreadDataIsBuffered) {
     co_await c->recv_exact(MutByteSpan{buf});
     g = true;
   }(srv, got));
-  w.eng.run();
+  w.cluster.run();
   EXPECT_TRUE(got);
 }
 
@@ -194,7 +199,7 @@ TEST(SocketFm, TwoConnectionsMultiplexOneNode) {
       ++d;
     }(w.at(2), done));
   }
-  w.eng.run();
+  w.cluster.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(w.eng.pending_roots(), 0);
 }
@@ -211,13 +216,13 @@ TEST(SocketFm, SendAfterCloseThrows) {
   w.eng.spawn([](SocketFm& s) -> Task<void> {
     (void)co_await s.accept(1);
   }(w.at(1)));
-  w.eng.run();
+  w.cluster.run();
 }
 
 TEST(SocketFm, ReceiverPacingStallsSender) {
-  Config cfg;
-  cfg.fm.credits_per_peer = 4;
-  World w(2, cfg);
+  fm2::Config fm_cfg;
+  fm_cfg.credits_per_peer = 4;
+  World w(2, fm_cfg);
   w.at(1).listen(2);
   int fragments_sent = 0;
   w.eng.spawn([](SocketFm& s, int& sent) -> Task<void> {
@@ -232,7 +237,7 @@ TEST(SocketFm, ReceiverPacingStallsSender) {
     (void)co_await s.accept(2);
     // Accept but never recv: stop extracting.
   }(w.at(1)));
-  w.eng.run();
+  w.cluster.run();
   // The sender must be stalled well short of 32 fragments: the receiver
   // withheld credits by not extracting.
   EXPECT_LT(fragments_sent, 16);

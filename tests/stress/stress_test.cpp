@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "shmem/shmem.hpp"
 #include "sim/random.hpp"
 
@@ -16,8 +17,10 @@ using sim::Engine;
 using sim::Task;
 
 struct Node {
-  Node(net::Cluster& cluster, int id, mpi::MpiFm2Options mpi_opt)
-      : ep(cluster, id), mpi(ep, mpi_opt), shm(ep) {}
+  Node(net::ParallelCluster& cluster, int id, mpi::MpiFm2Options mpi_opt)
+      : ep(cluster.node(id), cluster.fabric_of(id)),
+        mpi(ep, mpi_opt),
+        shm(ep) {}
   fm2::Endpoint ep;
   mpi::MpiFm2 mpi;
   shmem::ShmemCtx shm;
@@ -28,13 +31,13 @@ class StressTest
 
 TEST_P(StressTest, MixedLayerRingWorkload) {
   auto [seed, lossy] = GetParam();
-  Engine eng;
   net::ClusterParams p = net::ppro_fm2_cluster(4);
   if (lossy) {
     p.fabric.bit_error_rate = 1e-5;
     p.nic.reliable_link = true;
   }
-  net::Cluster cluster(eng, p);
+  net::ParallelCluster cluster(p, 1);
+  Engine& eng = cluster.shard_engine(0);
   mpi::MpiFm2Options mo;
   mo.eager_threshold = 4096;  // exercise both protocols
   std::vector<std::unique_ptr<Node>> nodes;
@@ -77,7 +80,7 @@ TEST_P(StressTest, MixedLayerRingWorkload) {
       ++fin;
     }(*nodes[me], me, seed, finished));
   }
-  eng.run();
+  cluster.run();
   EXPECT_EQ(finished, 4);
   EXPECT_EQ(eng.pending_roots(), 0);
   // Each node incremented its successor 12 times (kOps/5 rounded up).
@@ -87,7 +90,7 @@ TEST_P(StressTest, MixedLayerRingWorkload) {
     EXPECT_EQ(v, 12);
   }
   if (lossy) {
-    EXPECT_GT(cluster.fabric().stats().corrupted, 0u);
+    EXPECT_GT(cluster.fabric_of(0).stats().corrupted, 0u);
   }
 }
 
@@ -103,9 +106,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(StressExtract, RandomBudgetsNeverLoseData) {
   // Receiver extracts with chaotic byte budgets while the sender floods:
   // receiver flow control must only delay, never corrupt or drop.
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   constexpr int kMsgs = 60;
   int seen = 0;
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -130,7 +134,7 @@ TEST(StressExtract, RandomBudgetsNeverLoseData) {
       co_await ep.wait_for_traffic();
     }
   }(rx, seen));
-  eng.run();
+  cluster.run();
   EXPECT_EQ(seen, kMsgs);
   EXPECT_EQ(eng.pending_roots(), 0);
 }

@@ -12,13 +12,13 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "fm2/fm2.hpp"
 #include "mpi/mpi_fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
@@ -40,18 +40,18 @@ struct RunResult {
 };
 
 RunResult run_exchange(bool faulty) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
   params.nic.reliable_link = true;  // losses recovered by go-back-N
-  net::Cluster cluster(eng, params);
-  std::optional<fault::PlanInjector> inj;
+  net::ParallelCluster cluster(params, 1);
+  Engine& eng = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fault::PlanInjector>> injectors;
   if (faulty) {
-    inj.emplace(eng, fault::FaultPlan::lossy(0.15, /*seed=*/23));
-    fault::arm(cluster, *inj);
+    injectors = fault::arm(cluster, fault::FaultPlan::lossy(0.15, /*seed=*/23));
   }
-  fm2::Endpoint ep0(cluster, 0), ep1(cluster, 1);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
   mpi::MpiFm2 mpi0(ep0), mpi1(ep1);
-  cluster.fabric().tracer().enable();
+  cluster.fabric_of(0).tracer().enable();
 
   eng.spawn([](mpi::Comm& c) -> Task<void> {
     for (int i = 0; i < kMsgs; ++i) {
@@ -65,14 +65,14 @@ RunResult run_exchange(bool faulty) {
       co_await c.recv(MutByteSpan{buf}, 0, 5);
     }
   }(mpi1));
-  EXPECT_TRUE(test::run_to_exhaustion(eng));
+  EXPECT_TRUE(test::run_to_exhaustion(cluster));
 
   RunResult r;
-  const trace::Tracer& t = cluster.fabric().tracer();
+  const trace::Tracer& t = cluster.fabric_of(0).tracer();
   r.digest = trace::trace_digest(t);
   r.events = t.events();
   r.trace_dropped = t.dropped_events();
-  if (inj) r.injected_drops = inj->stats().drops;
+  for (const auto& inj : injectors) r.injected_drops += inj->stats().drops;
   return r;
 }
 

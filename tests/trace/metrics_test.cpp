@@ -7,7 +7,7 @@
 #include <cstdint>
 
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -121,9 +121,10 @@ TEST(Metrics, LatencyBoundsCoverTheSimRange) {
 }
 
 TEST(Metrics, ClusterExposesEveryLayerByName) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   Bytes sink(4096);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -137,9 +138,9 @@ TEST(Metrics, ClusterExposesEveryLayerByName) {
   eng.spawn([](fm2::Endpoint& ep, int& g) -> Task<void> {
     co_await ep.poll_until([&] { return g == 20; });
   }(rx, got));
-  ASSERT_TRUE(test::run_to_exhaustion(eng));
+  ASSERT_TRUE(test::run_to_exhaustion(cluster));
 
-  const trace::MetricsRegistry& m = cluster.fabric().tracer().metrics();
+  const trace::MetricsRegistry& m = cluster.fabric_of(0).tracer().metrics();
   // One registry sees the fabric, the NICs, the hosts' cost ledgers, the
   // buffer pool, and both endpoints — all live views of the run above.
   EXPECT_GT(m.value("fabric.packets").value(), 0u);
@@ -154,7 +155,7 @@ TEST(Metrics, ClusterExposesEveryLayerByName) {
 
   // Event-type counters appear once tracing is on (bound at enable()).
   EXPECT_EQ(m.value("trace.events.send_enqueue"), std::nullopt);
-  cluster.fabric().tracer().enable();
+  cluster.fabric_of(0).tracer().enable();
   ASSERT_TRUE(m.value("trace.events.send_enqueue").has_value());
 }
 

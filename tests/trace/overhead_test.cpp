@@ -13,35 +13,36 @@
 
 #include "bench/common/alloc_hook.hpp"
 #include "fm2/fm2.hpp"
-#include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 #include "trace/trace.hpp"
 
 namespace fmx {
 namespace {
 
-using sim::Engine;
 using sim::Task;
 
 constexpr std::size_t kMsgSize = 4096;
 
-// Streams `n` messages tx -> rx and drains the engine.
-void stream(Engine& eng, fm2::Endpoint& tx, fm2::Endpoint& rx, int& got,
-            Bytes& msg, int n) {
+// Streams `n` messages tx -> rx and runs the cluster to quiescence.
+void stream(net::ParallelCluster& cluster, fm2::Endpoint& tx,
+            fm2::Endpoint& rx, int& got, Bytes& msg, int n) {
   got = 0;
-  eng.spawn([](fm2::Endpoint& ep, ByteSpan m, int count) -> Task<void> {
+  cluster.spawn_on(tx.id(), [](fm2::Endpoint& ep, ByteSpan m,
+                               int count) -> Task<void> {
     for (int i = 0; i < count; ++i) co_await ep.send(1, 0, m);
   }(tx, ByteSpan{msg}, n));
-  eng.spawn([](fm2::Endpoint& ep, int& g, int count) -> Task<void> {
+  cluster.spawn_on(rx.id(), [](fm2::Endpoint& ep, int& g,
+                               int count) -> Task<void> {
     co_await ep.poll_until([&] { return g == count; });
   }(rx, got, n));
-  ASSERT_TRUE(test::run_to_exhaustion(eng));
+  ASSERT_TRUE(test::run_to_exhaustion(cluster));
 }
 
 TEST(TraceOverhead, SteadyStateAllocationFree) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2), 1);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   Bytes sink(kMsgSize);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -51,21 +52,21 @@ TEST(TraceOverhead, SteadyStateAllocationFree) {
   Bytes msg = pattern_bytes(7, kMsgSize);
 
   // Warm every pool (event queue, frame pool, buffer pool, rings).
-  stream(eng, tx, rx, got, msg, 50);
+  stream(cluster, tx, rx, got, msg, 50);
 
   // Tracing off: the gate is a single branch; zero allocations.
   bench::alloc_hook_reset();
-  stream(eng, tx, rx, got, msg, 200);
+  stream(cluster, tx, rx, got, msg, 200);
   EXPECT_EQ(bench::alloc_hook_count(), 0u)
       << "disabled tracer allocated on the hot path";
 
   // Tracing on: enable() preallocates the ring; the steady state must not
   // allocate either, even when the ring wraps and recycles chunks.
-  trace::Tracer& tracer = cluster.fabric().tracer();
+  trace::Tracer& tracer = cluster.fabric_of(0).tracer();
   tracer.enable(/*capacity=*/8192);  // small: forces wraparound recycling
-  stream(eng, tx, rx, got, msg, 50);  // warm the traced path
+  stream(cluster, tx, rx, got, msg, 50);  // warm the traced path
   bench::alloc_hook_reset();
-  stream(eng, tx, rx, got, msg, 200);
+  stream(cluster, tx, rx, got, msg, 200);
   EXPECT_EQ(bench::alloc_hook_count(), 0u)
       << "enabled tracer allocated in steady state; the ring must be "
          "preallocated at enable() and recycled on wrap";
