@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
@@ -341,6 +343,10 @@ double mpi_latency_us(MpiGen gen, const net::ClusterParams& cp,
                                                             rounds);
 }
 
+namespace {
+
+// First "model name" line from /proc/cpuinfo ("unknown" elsewhere): meta
+// records it so a reader can judge whether two runs are comparable.
 std::string cpu_model() {
   std::FILE* f = std::fopen("/proc/cpuinfo", "r");
   if (f == nullptr) return "unknown";
@@ -363,11 +369,133 @@ std::string cpu_model() {
   return model;
 }
 
+std::string quoted(const std::string& s) {
+  std::string q = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') q += '\\';
+    q += c;
+  }
+  return q + '"';
+}
+
+}  // namespace
+
 double median(std::vector<double> v) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
   const std::size_t mid = v.size() / 2;
   return v.size() % 2 != 0 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+Json::Entry& Json::entry(const char* key) {
+  for (Entry& e : entries_) {
+    if (e.key == key) return e;
+  }
+  entries_.push_back(Entry{key, {}, nullptr, {}, false});
+  return entries_.back();
+}
+
+Json& Json::leaf(const char* key, std::string text) {
+  entry(key).text = std::move(text);
+  return *this;
+}
+
+Json& Json::num(const char* key, const char* fmt, ...) {
+  char buf[64];
+  std::va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  return leaf(key, buf);
+}
+
+Json& Json::count(const char* key, std::uint64_t v) {
+  return leaf(key, std::to_string(v));
+}
+
+Json& Json::str(const char* key, const std::string& v) {
+  return leaf(key, quoted(v));
+}
+
+Json& Json::hex(const char* key, std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "\"%016llx\"",
+                static_cast<unsigned long long>(v));
+  return leaf(key, buf);
+}
+
+Json& Json::flag(const char* key, bool v) {
+  return leaf(key, v ? "true" : "false");
+}
+
+Json& Json::obj(const char* key) {
+  Entry& e = entry(key);
+  if (!e.object) e.object = std::make_unique<Json>();
+  return *e.object;
+}
+
+Json& Json::row(const char* key) {
+  Entry& e = entry(key);
+  e.is_array = true;
+  e.rows.push_back(std::make_unique<Json>());
+  return *e.rows.back();
+}
+
+void Json::render(std::string& out, int indent) const {
+  const std::string pad(indent + 2, ' ');
+  out += "{\n";
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
+    out += pad + quoted(e.key) + ": ";
+    if (e.object) {
+      e.object->render(out, indent + 2);
+    } else if (e.is_array) {
+      out += "[\n";
+      for (std::size_t r = 0; r < e.rows.size(); ++r) {
+        out += pad + "  ";
+        e.rows[r]->render_row(out);
+        out += r + 1 < e.rows.size() ? ",\n" : "\n";
+      }
+      out += pad + "]";
+    } else {
+      out += e.text;
+    }
+    out += i + 1 < entries_.size() ? ",\n" : "\n";
+  }
+  out += std::string(indent, ' ') + "}";
+}
+
+void Json::render_row(std::string& out) const {
+  out += "{";
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += quoted(entries_[i].key) + ": " + entries_[i].text;
+  }
+  out += "}";
+}
+
+bool Artifact::write(const std::string& path) const {
+  Json meta;
+  meta.count("cpus", std::thread::hardware_concurrency())
+      .str("cpu_model", cpu_model());
+  const std::pair<const char*, const Json*> sections[] = {
+      {"meta", &meta}, {"config", &config}, {"sim", &sim}, {"wall", &wall}};
+  std::string out = "{";
+  for (const auto& [name, json] : sections) {
+    if (json->empty()) continue;
+    out += out.size() > 1 ? ",\n  " : "\n  ";
+    out += quoted(name) + ": ";
+    json->render(out, 2);
+  }
+  out += "\n}\n";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  const bool ok = f != nullptr && std::fputs(out.c_str(), f) >= 0;
+  if (f == nullptr || std::fclose(f) != 0 || !ok) {
+    std::perror(path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace fmx::bench

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,12 +86,59 @@ void print_series(const std::string& title,
                   const std::vector<double>& values,
                   const std::string& unit);
 
-/// First "model name" line from /proc/cpuinfo ("unknown" elsewhere). The
-/// wall-clock JSON artifacts record it so a reader can judge whether two
-/// runs are comparable.
-std::string cpu_model();
-
 /// Median of `v` (by copy; v may be unsorted). 0 for an empty vector.
 double median(std::vector<double> v);
+
+/// An ordered JSON object for a bench artifact. Each number keeps the
+/// printf format it was written with, so a value that does not change
+/// between runs prints the same text every time.
+class Json {
+ public:
+  /// A number printed with `fmt` ("%.3f", "%g", ...).
+  Json& num(const char* key, const char* fmt, ...)
+      __attribute__((format(printf, 3, 4)));
+  Json& count(const char* key, std::uint64_t v);
+  Json& str(const char* key, const std::string& v);
+  /// A 64-bit digest, as a quoted 16-digit hex string.
+  Json& hex(const char* key, std::uint64_t v);
+  Json& flag(const char* key, bool v);
+  /// The nested object `key`, created on first use.
+  Json& obj(const char* key);
+  /// A new row appended to the array `key`. Rows print one per line.
+  Json& row(const char* key);
+
+ private:
+  friend struct Artifact;
+
+  struct Entry {
+    std::string key;
+    std::string text;                         // a leaf's printed value
+    std::unique_ptr<Json> object;             // or a nested object
+    std::vector<std::unique_ptr<Json>> rows;  // or an array of rows
+    bool is_array = false;
+  };
+  Entry& entry(const char* key);
+  Json& leaf(const char* key, std::string text);
+  bool empty() const { return entries_.empty(); }
+  void render(std::string& out, int indent) const;
+  void render_row(std::string& out) const;
+
+  std::vector<Entry> entries_;
+};
+
+/// A bench's JSON artifact. `meta` (cpus, cpu_model) is filled by the
+/// writer. `config` holds the run's parameters; `sim` every value that is
+/// identical across repeated runs and thread counts; `wall` everything
+/// else. scripts/bench_check.py compares `sim` exactly against the
+/// committed baseline when `config` matches. A row array split across
+/// `sim` and `wall` repeats its identifying field (threads, preset/ranks/op,
+/// bytes, layer) in both, so the halves can be rejoined.
+struct Artifact {
+  Json config, sim, wall;
+
+  /// Writes the artifact to `path` and prints "wrote <path>". Returns
+  /// false, after printing the error, when the file cannot be written.
+  bool write(const std::string& path) const;
+};
 
 }  // namespace fmx::bench

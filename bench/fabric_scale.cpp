@@ -17,8 +17,8 @@
 // flow is concurrently in flight: open-loop overload is what puts mass in
 // the tails). Flow sizes are bounded-Pareto mice-and-elephants.
 //
-// Writes BENCH_fabric.json (gated by scripts/bench_check.py
-// --fabric-binary): per-thread-count events/sec + allocs/event + digest,
+// Writes BENCH_fabric.json (`scripts/bench_check.py fabric` gates a
+// reduced run): per-thread-count events/sec + allocs/event + digest,
 // plus per-layer p50/p99/p999 from the 1-thread run.
 //
 // Usage: fabric_scale [--hosts N] [--oversub O] [--flows-per-host F]
@@ -31,7 +31,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "alloc_hook.hpp"
@@ -199,66 +198,43 @@ int main(int argc, char** argv) {
                 lq.layer, lq.p50 / 1e6, lq.p99 / 1e6, lq.p999 / 1e6);
   }
 
-  std::FILE* f = std::fopen(a.out, "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"workload\": \"fabric_traffic\",\n"
-               "  \"topology\": \"fat_tree\",\n"
-               "  \"radix\": %d,\n"
-               "  \"oversubscription\": %d,\n"
-               "  \"n_hosts\": %d,\n"
-               "  \"n_switches\": %d,\n"
-               "  \"shards\": %d,\n"
-               "  \"pattern\": \"%s\",\n"
-               "  \"size_dist\": \"%s\",\n"
-               "  \"mean_flow_bytes\": %.1f,\n"
-               "  \"flow_rate_per_host\": %g,\n"
-               "  \"flows_per_host\": %d,\n"
-               "  \"total_flows\": %llu,\n"
-               "  \"peak_concurrent_flows\": %llu,\n"
-               "  \"makespan_us\": %.3f,\n"
-               "  \"cpus\": %u,\n"
-               "  \"cpu_model\": \"%s\",\n",
-               params.fabric.fat_tree_radix, a.oversub, a.hosts,
-               topo.n_switches(), a.shards, workload::to_string(a.pattern),
-               cfg.sizes.name().data(), cfg.sizes.mean(), a.rate,
-               a.flows_per_host,
-               static_cast<unsigned long long>(sched.total_flows),
-               static_cast<unsigned long long>(ref.wave.peak_concurrent),
-               sim::to_us(ref.wave.makespan),
-               std::thread::hardware_concurrency(),
-               bench::cpu_model().c_str());
-  std::fprintf(f, "  \"threads\": [\n");
+  bench::Artifact art;
+  art.config.str("workload", "fabric_traffic")
+      .str("topology", "fat_tree")
+      .count("oversubscription", a.oversub)
+      .count("n_hosts", a.hosts)
+      .count("shards", a.shards)
+      .str("pattern", workload::to_string(a.pattern))
+      .str("size_dist", std::string(cfg.sizes.name()))
+      .num("flow_rate_per_host", "%g", a.rate)
+      .count("flows_per_host", a.flows_per_host);
+  art.sim.count("radix", params.fabric.fat_tree_radix)
+      .count("n_switches", topo.n_switches())
+      .num("mean_flow_bytes", "%.1f", cfg.sizes.mean())
+      .count("total_flows", sched.total_flows)
+      .count("peak_concurrent_flows", ref.wave.peak_concurrent)
+      .num("makespan_us", "%.3f", sim::to_us(ref.wave.makespan));
   for (std::size_t k = 0; k < runs.size(); ++k) {
     const Measured& m = runs[k];
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"events\": %llu, "
-                 "\"events_per_sec\": %.1f, \"allocs_per_event\": %.6f, "
-                 "\"digest\": \"%016llx\"}%s\n",
-                 a.threads[k],
-                 static_cast<unsigned long long>(m.wave.events),
-                 m.wave.events / m.wall_s,
-                 static_cast<double>(m.allocs) / m.wave.events,
-                 static_cast<unsigned long long>(m.wave.digest),
-                 k + 1 < runs.size() ? "," : "");
+    art.sim.row("threads")
+        .count("threads", a.threads[k])
+        .count("events", m.wave.events)
+        .num("allocs_per_event", "%.6f",
+             static_cast<double>(m.allocs) / m.wave.events)
+        .hex("digest", m.wave.digest);
+    art.wall.row("threads")
+        .count("threads", a.threads[k])
+        .num("events_per_sec", "%.1f", m.wave.events / m.wall_s);
   }
-  std::fprintf(f, "  ],\n  \"layers\": [\n");
-  for (std::size_t l = 0; l < ref.wave.layers.size(); ++l) {
-    const auto& lq = ref.wave.layers[l];
-    std::fprintf(f,
-                 "    {\"layer\": \"%s\", \"count\": %llu, "
-                 "\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f}%s\n",
-                 lq.layer, static_cast<unsigned long long>(lq.count),
-                 lq.p50 / 1e6, lq.p99 / 1e6, lq.p999 / 1e6,
-                 l + 1 < ref.wave.layers.size() ? "," : "");
+  for (const auto& lq : ref.wave.layers) {
+    art.sim.row("layers")
+        .str("layer", lq.layer)
+        .count("count", lq.count)
+        .num("p50_us", "%.3f", lq.p50 / 1e6)
+        .num("p99_us", "%.3f", lq.p99 / 1e6)
+        .num("p999_us", "%.3f", lq.p999 / 1e6);
   }
-  std::fprintf(f, "  ],\n  \"digest_ok\": %s\n}\n",
-               digest_ok ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", a.out);
+  art.sim.flag("digest_ok", digest_ok);
+  if (!art.write(a.out)) return 1;
   return digest_ok ? 0 : 1;
 }

@@ -258,62 +258,38 @@ int main(int argc, char** argv) {
               speedup_4t, ring_speedup_4t, shard_tax_pct,
               digest_ok ? "identical" : "DIVERGED");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
-  }
-  auto emit_rows = [&](const Measured (&m)[4], const double (&eps)[4]) {
+  bench::Artifact art;
+  art.config.str("workload", "fm2_alltoall_stream")
+      .count("n_hosts", kHosts)
+      .count("msg_size", msg_size)
+      .count("msgs_per_pair", per_pair)
+      .count("repetitions", reps);
+  art.config.obj("ring").str("workload", "fm2_ring_exchange");
+  art.sim.count("lookahead_ps", lookahead).count("serial_events", base.events);
+  art.wall.num("serial_events_per_sec", "%.1f", base_eps);
+  auto rows = [&](bench::Json& sim, bench::Json& wall,
+                  const Measured (&m)[4], const double (&eps)[4]) {
     for (int k = 0; k < 4; ++k) {
-      std::fprintf(
-          f,
-          "    {\"threads\": %d, \"events_per_sec\": %.1f, "
-          "\"allocs_per_event\": %.6f, \"windows\": %llu, "
-          "\"events_per_window\": %.2f, \"barrier_crossings\": %llu, "
-          "\"digest\": \"%016llx\"}%s\n",
-          thread_counts[k], eps[k],
-          static_cast<double>(m[k].allocs) / m[k].events,
-          static_cast<unsigned long long>(m[k].windows), epw(m[k]),
-          static_cast<unsigned long long>(m[k].barrier_crossings),
-          static_cast<unsigned long long>(m[k].digest), k < 3 ? "," : "");
+      sim.row("threads")
+          .count("threads", thread_counts[k])
+          .num("allocs_per_event", "%.6f",
+               static_cast<double>(m[k].allocs) / m[k].events)
+          .hex("digest", m[k].digest);
+      wall.row("threads")
+          .count("threads", thread_counts[k])
+          .num("events_per_sec", "%.1f", eps[k])
+          .count("windows", m[k].windows)
+          .num("events_per_window", "%.2f", epw(m[k]))
+          .count("barrier_crossings", m[k].barrier_crossings);
     }
   };
-  std::fprintf(f,
-               "{\n"
-               "  \"workload\": \"fm2_alltoall_stream\",\n"
-               "  \"n_hosts\": %d,\n"
-               "  \"msg_size\": %zu,\n"
-               "  \"msgs_per_pair\": %d,\n"
-               "  \"repetitions\": %d,\n"
-               "  \"cpus\": %u,\n"
-               "  \"cpu_model\": \"%s\",\n"
-               "  \"lookahead_ps\": %llu,\n"
-               "  \"serial_events_per_sec\": %.1f,\n"
-               "  \"serial_events\": %llu,\n"
-               "  \"threads\": [\n",
-               kHosts, msg_size, per_pair, reps, cpus,
-               bench::cpu_model().c_str(),
-               static_cast<unsigned long long>(lookahead), base_eps,
-               static_cast<unsigned long long>(base.events));
-  emit_rows(par, par_eps);
-  std::fprintf(f,
-               "  ],\n"
-               "  \"events_per_window\": %.2f,\n"
-               "  \"speedup_4t_vs_1t\": %.3f,\n"
-               "  \"shard_tax_pct\": %.2f,\n"
-               "  \"ring\": {\n"
-               "    \"workload\": \"fm2_ring_exchange\",\n"
-               "    \"speedup_4t_vs_1t\": %.3f,\n"
-               "    \"threads\": [\n",
-               epw(par[0]), speedup_4t, shard_tax_pct, ring_speedup_4t);
-  emit_rows(rng, rng_eps);
-  std::fprintf(f,
-               "    ]\n"
-               "  },\n"
-               "  \"digest_ok\": %s\n"
-               "}\n",
-               digest_ok ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
+  rows(art.sim, art.wall, par, par_eps);
+  art.wall.num("events_per_window", "%.2f", epw(par[0]))
+      .num("speedup_4t_vs_1t", "%.3f", speedup_4t)
+      .num("shard_tax_pct", "%.2f", shard_tax_pct);
+  art.wall.obj("ring").num("speedup_4t_vs_1t", "%.3f", ring_speedup_4t);
+  rows(art.sim.obj("ring"), art.wall.obj("ring"), rng, rng_eps);
+  art.sim.flag("digest_ok", digest_ok);
+  if (!art.write(out_path)) return 1;
   return digest_ok ? 0 : 1;
 }

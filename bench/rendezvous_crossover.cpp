@@ -22,7 +22,7 @@
 // one-way latency beats eager — is the number an MPI implementation would
 // use for its eager_threshold on this platform. Everything here is
 // simulated time, so the JSON artifact is bit-stable across machines and
-// scripts/bench_check.py --rendezvous-binary compares it exactly.
+// `scripts/bench_check.py rendezvous` compares it exactly.
 //
 // Usage: rendezvous_crossover [out.json]
 #include <cstdio>
@@ -200,44 +200,28 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(proof.reg.misses),
               zero_copy_ok ? "ok" : "FAILED");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"platform\": \"ppro_fm2_cluster(2)\",\n"
-               "  \"latency_rounds\": %d,\n"
-               "  \"bandwidth_msgs\": %d,\n"
-               "  \"crossover_bytes\": %zu,\n"
-               "  \"advantage_flips\": %d,\n"
-               "  \"zero_copy\": {\n"
-               "    \"hop_copies\": %llu,\n"
-               "    \"rdma_bytes\": %llu,\n"
-               "    \"payload_bytes\": %llu,\n"
-               "    \"endpoint_bytes\": %llu,\n"
-               "    \"reg_hits\": %llu,\n"
-               "    \"reg_misses\": %llu\n"
-               "  },\n"
-               "  \"sizes\": [\n",
-               kLatencyRounds, kBandwidthMsgs, crossover, sign_changes,
-               static_cast<unsigned long long>(proof.copies.hop_copies),
-               static_cast<unsigned long long>(proof.copies.rdma_bytes),
-               static_cast<unsigned long long>(payload_bytes),
-               static_cast<unsigned long long>(proof.copies.endpoint_bytes),
-               static_cast<unsigned long long>(proof.reg.hits),
-               static_cast<unsigned long long>(proof.reg.misses));
+  bench::Artifact art;
+  art.config.str("platform", "ppro_fm2_cluster(2)")
+      .count("latency_rounds", kLatencyRounds)
+      .count("bandwidth_msgs", kBandwidthMsgs);
+  art.sim.count("crossover_bytes", crossover)
+      .count("advantage_flips", sign_changes);
+  art.sim.obj("zero_copy")
+      .count("hop_copies", proof.copies.hop_copies)
+      .count("rdma_bytes", proof.copies.rdma_bytes)
+      .count("payload_bytes", payload_bytes)
+      .count("endpoint_bytes", proof.copies.endpoint_bytes)
+      .count("reg_hits", proof.reg.hits)
+      .count("reg_misses", proof.reg.misses);
   for (std::size_t i = 0; i < n_sizes; ++i) {
-    std::fprintf(f,
-                 "    {\"bytes\": %zu, \"eager_lat_us\": %.3f, "
-                 "\"rdma_lat_us\": %.3f, \"stream_lat_us\": %.3f, "
-                 "\"eager_bw_mbs\": %.3f, \"rdma_bw_mbs\": %.3f}%s\n",
-                 kSizes[i], eager_lat[i], rdma_lat[i], stream_lat[i],
-                 eager_bw[i], rdma_bw[i], i + 1 < n_sizes ? "," : "");
+    art.sim.row("sizes")
+        .count("bytes", kSizes[i])
+        .num("eager_lat_us", "%.3f", eager_lat[i])
+        .num("rdma_lat_us", "%.3f", rdma_lat[i])
+        .num("stream_lat_us", "%.3f", stream_lat[i])
+        .num("eager_bw_mbs", "%.3f", eager_bw[i])
+        .num("rdma_bw_mbs", "%.3f", rdma_bw[i]);
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
+  if (!art.write(out_path)) return 1;
   return zero_copy_ok && sign_changes == 1 ? 0 : 1;
 }

@@ -28,7 +28,7 @@
 //
 // Everything reported is simulated time, so the JSON artifact
 // (BENCH_collectives.json) is bit-stable across machines and
-// scripts/bench_check.py --collectives-binary compares overlapping rows
+// `scripts/bench_check.py collectives` compares overlapping rows
 // exactly; each (preset, ranks) configuration is an independent engine, so
 // a reduced --max-ranks sweep reproduces the committed rows verbatim.
 //
@@ -280,38 +280,24 @@ int main(int argc, char** argv) {
               completions_ok ? "ok" : "FAILED",
               nic_quiet ? "ok" : "FAILED");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
+  bench::Artifact art;
+  art.config.count("iters", kIters)
+      .count("coll_radix", kCollRadix)
+      .count("bcast_bytes", kBcastBytes)
+      .count("reduce_doubles", kReduceDoubles);
+  art.sim.flag("completions_ok", completions_ok);
+  for (const Row& row : rows) {
+    art.sim.row("results")
+        .str("preset", row.preset)
+        .count("ranks", row.ranks)
+        .str("op", op_name(row.op))
+        .num("host_us", "%.3f", row.host.us)
+        .num("nic_us", "%.3f", row.nic.us)
+        .num("speedup", "%.3f", row.host.us / row.nic.us)
+        .count("nic_allocs", row.nic.allocs)
+        .count("nic_handler_starts", row.nic.handler_starts)
+        .count("host_handler_starts", row.host.handler_starts);
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"iters\": %d,\n"
-               "  \"coll_radix\": %d,\n"
-               "  \"bcast_bytes\": %zu,\n"
-               "  \"reduce_doubles\": %zu,\n"
-               "  \"completions_ok\": %s,\n"
-               "  \"results\": [\n",
-               kIters, kCollRadix, kBcastBytes, kReduceDoubles,
-               completions_ok ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(
-        f,
-        "    {\"preset\": \"%s\", \"ranks\": %d, \"op\": \"%s\", "
-        "\"host_us\": %.3f, \"nic_us\": %.3f, \"speedup\": %.3f, "
-        "\"nic_allocs\": %llu, \"nic_handler_starts\": %llu, "
-        "\"host_handler_starts\": %llu}%s\n",
-        row.preset, row.ranks, op_name(row.op), row.host.us, row.nic.us,
-        row.host.us / row.nic.us,
-        static_cast<unsigned long long>(row.nic.allocs),
-        static_cast<unsigned long long>(row.nic.handler_starts),
-        static_cast<unsigned long long>(row.host.handler_starts),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!art.write(out_path)) return 1;
   return completions_ok && nic_quiet ? 0 : 1;
 }

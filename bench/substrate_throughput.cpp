@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "alloc_hook.hpp"
@@ -186,55 +185,28 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(modeled_copies),
               static_cast<unsigned long long>(modeled_copy_bytes));
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::perror("fopen");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"workload\": \"fm2_ping_stream\",\n"
-               "  \"msg_size\": %zu,\n"
-               "  \"n_msgs\": %d,\n"
-               "  \"repetitions\": %d,\n"
-               "  \"threads\": 1,\n"
-               "  \"cpus\": %u,\n"
-               "  \"cpu_model\": \"%s\",\n"
-               "  \"events\": %llu,\n"
-               "  \"wall_seconds\": %.6f,\n"
-               "  \"sim_seconds\": %.9f,\n"
-               "  \"events_per_sec\": %.1f,\n"
-               "  \"sim_bytes_per_sec\": %.1f,\n"
-               "  \"allocs\": %llu,\n"
-               "  \"alloc_bytes\": %llu,\n"
-               "  \"allocs_per_event\": %.6f,\n"
-               "  \"traced_events_per_sec\": %.1f,\n"
-               "  \"traced_allocs_per_event\": %.6f,\n"
-               "  \"trace_overhead_pct\": %.2f,\n"
-               "  \"real_copies\": %llu,\n"
-               "  \"real_copy_bytes\": %llu,\n"
-               "  \"real_hop_copies\": %llu,\n"
-               "  \"real_hop_copy_bytes\": %llu,\n"
-               "  \"modeled_copies\": %llu,\n"
-               "  \"modeled_copy_bytes\": %llu\n"
-               "}\n",
-               msg_size, n_msgs, reps,
-               std::thread::hardware_concurrency(),
-               bench::cpu_model().c_str(),
-               static_cast<unsigned long long>(plain[0].events),
-               plain[0].events / events_per_sec, plain[0].sim_s,
-               events_per_sec, sim_bytes_per_sec,
-               static_cast<unsigned long long>(max_allocs),
-               static_cast<unsigned long long>(max_alloc_bytes),
-               allocs_per_event, traced_events_per_sec,
-               traced_allocs_per_event, trace_overhead_pct,
-               static_cast<unsigned long long>(real.endpoint_copies),
-               static_cast<unsigned long long>(real.endpoint_bytes),
-               static_cast<unsigned long long>(real.hop_copies),
-               static_cast<unsigned long long>(real.hop_bytes),
-               static_cast<unsigned long long>(modeled_copies),
-               static_cast<unsigned long long>(modeled_copy_bytes));
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  bench::Artifact art;
+  art.config.str("workload", "fm2_ping_stream")
+      .count("msg_size", msg_size)
+      .count("n_msgs", n_msgs)
+      .count("repetitions", reps)
+      .count("threads", 1);
+  art.sim.count("events", plain[0].events)
+      .num("sim_seconds", "%.9f", plain[0].sim_s)
+      .count("real_copies", real.endpoint_copies)
+      .count("real_copy_bytes", real.endpoint_bytes)
+      .count("real_hop_copies", real.hop_copies)
+      .count("real_hop_copy_bytes", real.hop_bytes)
+      .count("modeled_copies", modeled_copies)
+      .count("modeled_copy_bytes", modeled_copy_bytes);
+  art.wall.num("wall_seconds", "%.6f", plain[0].events / events_per_sec)
+      .num("events_per_sec", "%.1f", events_per_sec)
+      .num("sim_bytes_per_sec", "%.1f", sim_bytes_per_sec)
+      .count("allocs", max_allocs)
+      .count("alloc_bytes", max_alloc_bytes)
+      .num("allocs_per_event", "%.6f", allocs_per_event)
+      .num("traced_events_per_sec", "%.1f", traced_events_per_sec)
+      .num("traced_allocs_per_event", "%.6f", traced_allocs_per_event)
+      .num("trace_overhead_pct", "%.2f", trace_overhead_pct);
+  return art.write(out_path) ? 0 : 1;
 }

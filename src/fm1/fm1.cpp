@@ -19,6 +19,9 @@ constexpr sim::Ps kHeaderParseCost = sim::ns(100);
 constexpr sim::Ps kCreditOpCost = sim::ns(100);
 constexpr sim::Ps kPerPacketBookkeeping = sim::ns(100);
 constexpr sim::Ps kStagingAllocCost = sim::ns(500);
+// Cap on packets parked host-side while a blocked sender drains its ring
+// looking for credit packets (sender-progress guarantee).
+constexpr std::size_t kPendingLimit = 4096;
 
 }  // namespace
 
@@ -38,9 +41,7 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
     cfg_.credits_per_peer =
         std::max(2, static_cast<int>(nic.host_ring_slots) / peers);
   }
-  if (cfg_.credit_return_threshold <= 0) {
-    cfg_.credit_return_threshold = std::max(1, cfg_.credits_per_peer / 2);
-  }
+  credit_return_threshold_ = std::max(1, cfg_.credits_per_peer / 2);
   credits_.assign(n_hosts_, cfg_.credits_per_peer);
   freed_.assign(n_hosts_, 0);
   next_msg_seq_.assign(n_hosts_, 0);
@@ -154,7 +155,7 @@ sim::Task<void> Endpoint::acquire_credit(int dest) {
         p->payload.reset();
         continue;  // pure control packet, fully consumed
       }
-      if (pending_.size() >= cfg_.pending_limit) {
+      if (pending_.size() >= kPendingLimit) {
         throw std::runtime_error(
             "FM1: host-side pending buffer overflow (flow control breach)");
       }
@@ -216,7 +217,7 @@ sim::Task<void> Endpoint::send4(int dest, HandlerId handler, std::uint32_t i0,
 void Endpoint::slot_freed(int src) { ++freed_[src]; }
 
 sim::Task<void> Endpoint::maybe_return_credits(int dest) {
-  if (freed_[dest] < cfg_.credit_return_threshold) co_return;
+  if (freed_[dest] < credit_return_threshold_) co_return;
   std::uint16_t give = take_piggyback(dest);
   if (give == 0) co_return;
   ++stats_.credit_packets_sent;

@@ -37,15 +37,9 @@ using Handler = std::function<void(int src, ByteSpan data)>;
 struct Config {
   /// Send-side credits per peer; 0 = divide the host ring among peers.
   int credits_per_peer = 0;
-  /// Return credits to a sender once this many of its slots were freed;
-  /// 0 = half of credits_per_peer.
-  int credit_return_threshold = 0;
   /// FM 1.x moves send data across the I/O bus with programmed I/O; set
   /// false to use NIC DMA fetch instead (ablation knob).
   bool pio_send = true;
-  /// Cap on packets parked host-side while a blocked sender drains its ring
-  /// looking for credit packets (sender-progress guarantee).
-  std::size_t pending_limit = 4096;
 };
 
 using PacketHeader = wire::PacketHeader;
@@ -102,6 +96,11 @@ class Endpoint {
   // --- Invariant-checker exposure (mirrors fm2::Endpoint) -----------------
   /// Effective configuration after constructor defaulting.
   const Config& config() const noexcept { return cfg_; }
+  /// Credits go back to a sender once this many of its slots were freed:
+  /// half of credits_per_peer, at least 1.
+  int credit_return_threshold() const noexcept {
+    return credit_return_threshold_;
+  }
   /// Receive slots freed locally but not yet returned to `src` as credits.
   int credits_pending_return(int src) const { return freed_[src]; }
   /// Packets parked host-side while a blocked sender hunted for credits.
@@ -133,6 +132,7 @@ class Endpoint {
   net::Fabric& fabric_;
   net::Node& node_;
   Config cfg_;
+  int credit_return_threshold_ = 1;
   int n_hosts_;
   std::size_t seg_;  // payload bytes per packet
   std::vector<Handler> handlers_;

@@ -19,6 +19,9 @@ constexpr sim::Ps kHeaderParseCost = sim::ns(100);
 constexpr sim::Ps kCreditOpCost = sim::ns(100);
 constexpr sim::Ps kResumeCost = sim::ns(100);
 constexpr sim::Ps kSkipPerPacketCost = sim::ns(50);
+// Cap on packets parked host-side while a blocked sender drains its ring
+// looking for credit packets (sender-progress guarantee).
+constexpr std::size_t kPendingLimit = 4096;
 
 }  // namespace
 
@@ -121,9 +124,7 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
     cfg_.credits_per_peer =
         std::max(2, static_cast<int>(nic.host_ring_slots) / peers);
   }
-  if (cfg_.credit_return_threshold <= 0) {
-    cfg_.credit_return_threshold = std::max(1, cfg_.credits_per_peer / 2);
-  }
+  credit_return_threshold_ = std::max(1, cfg_.credits_per_peer / 2);
   credits_.assign(n_hosts_, cfg_.credits_per_peer);
   freed_.assign(n_hosts_, 0);
   owed_.assign((n_hosts_ + 63) / 64, 0);
@@ -161,7 +162,7 @@ std::size_t Endpoint::active_handlers() const {
 std::uint16_t Endpoint::take_piggyback(int dest) {
   int v = std::min(freed_[dest], 0xFFFF);
   freed_[dest] -= v;
-  if (freed_[dest] < cfg_.credit_return_threshold) {
+  if (freed_[dest] < credit_return_threshold_) {
     owed_[dest >> 6] &= ~(std::uint64_t{1} << (dest & 63));
   }
   return static_cast<std::uint16_t>(v);
@@ -299,7 +300,7 @@ sim::Task<void> Endpoint::acquire_credit(int dest) {
         p->payload.reset();
         continue;
       }
-      if (pending_.size() >= cfg_.pending_limit) {
+      if (pending_.size() >= kPendingLimit) {
         throw std::runtime_error("FM2: pending buffer overflow");
       }
       pending_.push_back(std::move(*p));

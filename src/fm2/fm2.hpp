@@ -192,10 +192,8 @@ class SendStream {
 
 struct Config {
   int credits_per_peer = 0;          // 0 = ring slots / peers
-  int credit_return_threshold = 0;   // 0 = half of credits_per_peer
   /// FM 2.x sends via NIC DMA from pinned host buffers; PIO is an ablation.
   bool pio_send = false;
-  std::size_t pending_limit = 4096;
   /// Ablation: deliver whole messages only (disable handler interleaving —
   /// the handler starts only after the last packet arrived, as in FM 1.x).
   bool whole_message_handlers = false;
@@ -337,6 +335,11 @@ class Endpoint {
   // --- Invariant-checker exposure (src/fault/invariants.hpp) --------------
   /// Effective configuration after constructor defaulting.
   const Config& config() const noexcept { return cfg_; }
+  /// Credits go back to a sender once this many of its slots were freed:
+  /// half of credits_per_peer, at least 1.
+  int credit_return_threshold() const noexcept {
+    return credit_return_threshold_;
+  }
   /// Receive slots freed locally but not yet returned to `src` as credits.
   int credits_pending_return(int src) const { return freed_[src]; }
   /// Packets parked host-side while a blocked sender hunted for credits.
@@ -383,7 +386,7 @@ class Endpoint {
   sim::Task<void> acquire_credit(int dest);
   std::uint16_t take_piggyback(int dest);
   void slot_freed(int src) {
-    if (++freed_[src] >= cfg_.credit_return_threshold) {
+    if (++freed_[src] >= credit_return_threshold_) {
       owed_[src >> 6] |= std::uint64_t{1} << (src & 63);
     }
   }
@@ -402,12 +405,13 @@ class Endpoint {
   net::Fabric& fabric_;
   net::Node& node_;
   Config cfg_;
+  int credit_return_threshold_ = 1;
   int n_hosts_;
   std::size_t seg_;
   std::vector<HandlerFn> handlers_;
   std::vector<int> credits_;
   std::vector<int> freed_;
-  // Bit p set iff freed_[p] >= credit_return_threshold: extract() visits
+  // Bit p set iff freed_[p] >= credit_return_threshold_: extract() visits
   // only these peers, so a poll costs work per owed peer, not per host.
   std::vector<std::uint64_t> owed_;
   std::vector<std::uint32_t> next_msg_seq_;

@@ -394,7 +394,7 @@ sim::Task<void> MpiFm2::ensure_coll_group() {
   spec.members.resize(static_cast<std::size_t>(size()));
   std::iota(spec.members.begin(), spec.members.end(), 0);
   spec.radix = opt_.coll_radix;
-  spec.max_bytes = opt_.coll_max_bytes;
+  spec.max_bytes = kCollMaxBytes;
   co_await fm_.coll_join(spec);
   coll_joined_ = true;
 }

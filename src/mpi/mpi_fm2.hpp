@@ -42,13 +42,11 @@ struct MpiFm2Options {
   /// dissemination/binomial algorithms are the ablation, and existing
   /// workloads keep bit-identical digests. Every rank's first offloaded
   /// collective triggers a lazy cluster-wide group join. Rooted ops with
-  /// root != 0 and operands larger than coll_max_bytes fall back to the
-  /// host-level path.
+  /// root != 0 and operands larger than MpiFm2::kCollMaxBytes fall back to
+  /// the host-level path.
   bool nic_collectives = false;
   /// Tree fan-out (radix) for the NIC collective tree.
   int coll_radix = 4;
-  /// Largest operand the NIC group preallocates for (bytes).
-  std::size_t coll_max_bytes = 2048;
 };
 
 class MpiFm2 : public Comm {
@@ -57,6 +55,9 @@ class MpiFm2 : public Comm {
   /// ...) may share, each owning its handler ids — how the real FM was
   /// used. The endpoint must outlive this object.
   explicit MpiFm2(fm2::Endpoint& fm, MpiFm2Options opt = {});
+
+  /// Largest collective operand the NIC group preallocates for (bytes).
+  static constexpr std::size_t kCollMaxBytes = 2048;
 
   int rank() const override { return fm_.id(); }
   int size() const override { return fm_.cluster_size(); }
@@ -69,7 +70,7 @@ class MpiFm2 : public Comm {
   void set_extract_budget(std::size_t bytes) { extract_budget_ = bytes; }
 
   // NIC-offloaded collectives (opt.nic_collectives). Rooted ops with
-  // root != 0 or operands above coll_max_bytes fall back to the host-level
+  // root != 0 or operands above kCollMaxBytes fall back to the host-level
   // base algorithms.
   sim::Task<void> barrier() override;
   sim::Task<void> bcast(MutByteSpan buf, int root) override;
@@ -139,7 +140,7 @@ class MpiFm2 : public Comm {
   /// True when this collective call should take the NIC-offloaded path.
   bool use_nic_coll(int root, std::size_t bytes) const noexcept {
     return opt_.nic_collectives && size() > 1 && root == 0 &&
-           bytes <= opt_.coll_max_bytes;
+           bytes <= kCollMaxBytes;
   }
   /// Lazily join the cluster-wide NIC collective group {0..size()-1}.
   /// Naturally collective: every rank's first offloaded collective is the

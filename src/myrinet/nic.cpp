@@ -117,10 +117,6 @@ sim::Task<void> Nic::rx_wire_program() {
         co_await eng_.delay(stall);
       }
     }
-    if (!p_.hardware_crc) {
-      co_await eng_.delay(static_cast<sim::Ps>(
-          p_.crc_ps_per_byte * static_cast<double>(pkt.payload.size())));
-    }
     const bool crc_ok = pkt.crc_ok();
     fabric_.tracer().record(trace::EventType::kCrcCheck, trace::Layer::kNic,
                             id_, pkt.trace_id, crc_ok ? 1 : 0);

@@ -68,8 +68,6 @@ struct NicParams {
   std::size_t host_ring_slots = 64; ///< host receive-region packet slots
   Ps per_packet_tx = sim::us(1.0);  ///< control-program cost per sent packet
   Ps per_packet_rx = sim::us(1.0);  ///< control-program cost per recv packet
-  bool hardware_crc = true;         ///< CRC overlapped with wire transfer
-  double crc_ps_per_byte = 2'000;   ///< charged only if !hardware_crc
 
   /// NIC-offloaded collectives (myrinet/coll.hpp): control-program cost per
   /// collective step processed on the NIC (combine bookkeeping, fan-out

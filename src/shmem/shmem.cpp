@@ -8,8 +8,7 @@ namespace fmx::shmem {
 
 using sim::Cost;
 
-ShmemCtx::ShmemCtx(fm2::Endpoint& ep, Config cfg)
-    : ep_(ep), cfg_(cfg), heap_(cfg.heap_bytes) {
+ShmemCtx::ShmemCtx(fm2::Endpoint& ep) : ep_(ep), heap_(kHeapBytes) {
   ep_.register_handler(kShmemHandler, [this](fm2::RecvStream& s, int src) {
     return on_message(s, src);
   });
@@ -20,7 +19,7 @@ sim::Task<void> ShmemCtx::send_header_only(int pe, const Header& h) {
 }
 
 sim::Task<void> ShmemCtx::put(int pe, std::size_t dst_off, ByteSpan src) {
-  if (dst_off + src.size() > cfg_.heap_bytes) {
+  if (dst_off + src.size() > heap_.size()) {
     throw std::out_of_range("shmem: put beyond heap");
   }
   auto& host = ep_.host();
@@ -40,6 +39,10 @@ sim::Task<void> ShmemCtx::quiet() {
 }
 
 sim::Task<void> ShmemCtx::get(int pe, std::size_t src_off, MutByteSpan dst) {
+  // Heaps are symmetric, so the local size bounds the remote read.
+  if (src_off + dst.size() > heap_.size()) {
+    throw std::out_of_range("shmem: get beyond heap");
+  }
   auto& host = ep_.host();
   host.charge(Cost::kCall, sim::ns(300));
   ++stats_.gets;

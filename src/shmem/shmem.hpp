@@ -13,15 +13,14 @@
 
 namespace fmx::shmem {
 
-struct Config {
-  std::size_t heap_bytes = 1 << 20;
-};
-
 class ShmemCtx {
  public:
+  /// Symmetric heap size, the same on every PE.
+  static constexpr std::size_t kHeapBytes = std::size_t{1} << 20;
+
   /// Layer shmem over an FM endpoint, which other libraries may share.
   /// The endpoint must outlive this object.
-  explicit ShmemCtx(fm2::Endpoint& ep, Config cfg = {});
+  explicit ShmemCtx(fm2::Endpoint& ep);
 
   int pe() const noexcept { return ep_.id(); }
   int n_pes() const noexcept { return ep_.cluster_size(); }
@@ -86,7 +85,6 @@ class ShmemCtx {
   sim::Task<void> send_header_only(int pe, const Header& h);
 
   fm2::Endpoint& ep_;
-  Config cfg_;
   Bytes heap_;
   std::uint64_t next_req_ = 1;
   std::uint64_t puts_issued_ = 0;

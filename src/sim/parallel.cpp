@@ -322,11 +322,11 @@ bool ParallelEngine::advance(int s, int w, std::uint64_t& events,
   return n > 0;
 }
 
-// All-idle exclusive sweep: callable only with idle_count_ == run_threads_
-// under idle_mu_ — every other worker has released the mutex inside
-// wait_for and touches no engine until it reacquires it, so plain reads of
-// foreign engine state are race-free (and TSan-visibly so, through the
-// mutex).
+// All-idle exclusive sweep: callable by a lone worker, or only with
+// idle_count_ == run_threads_ under idle_mu_ — every other worker has
+// released the mutex inside wait_for and touches no engine until it
+// reacquires it, so plain reads of foreign engine state are race-free (and
+// TSan-visibly so, through the mutex).
 bool ParallelEngine::quiescent() const {
   for (const auto& e : shards_) {
     if (!e->idle()) return false;
@@ -354,6 +354,12 @@ void ParallelEngine::worker_body(int w) {
     }
     if (progress) {
       passes = 0;
+      continue;
+    }
+    // A lone worker has nobody to wait for: a pass without progress either
+    // proves quiescence or leaves work the next pass runs.
+    if (n_threads == 1) {
+      if (quiescent()) break;
       continue;
     }
     ++passes;

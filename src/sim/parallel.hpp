@@ -54,9 +54,11 @@
 //
 // Progress: the shard owning the globally minimal event m always has
 // bound >= m + min L > m, so a full pass over all shards either executes
-// at least one event or proves global quiescence. Stalled workers spin,
-// then yield, then park on a condvar; the last parker performs an
-// exclusive termination sweep (all engines idle, all mailboxes empty).
+// at least one event or proves global quiescence. A lone worker checks
+// quiescence directly after a pass without progress. With two or more,
+// stalled workers spin, then yield, then park on a condvar; the last
+// parker performs an exclusive termination sweep (all engines idle, all
+// mailboxes empty).
 //
 // Determinism: cross-shard events order by explicit keys in a sequence
 // band above all local events (Engine::kCrossSeqBand), so per-shard pop
@@ -176,6 +178,7 @@ class ParallelEngine {
     std::uint64_t windows = 0;
     /// Slow-path entries: times a worker exhausted its spin/yield budget
     /// and parked on the condvar (the only remaining mutex crossings).
+    /// Always 0 on one worker, which never parks.
     std::uint64_t barrier_crossings = 0;
     int pending_roots = 0;  ///< unfinished roots (deadlock if nonzero)
   };

@@ -11,7 +11,7 @@ namespace fmx::sock {
 
 using sim::Cost;
 
-SocketFm::SocketFm(fm2::Endpoint& ep, Config cfg) : ep_(ep), cfg_(cfg) {
+SocketFm::SocketFm(fm2::Endpoint& ep) : ep_(ep) {
   ep_.register_handler(kSockHandler, [this](fm2::RecvStream& s, int src) {
     return on_message(s, src);
   });
@@ -130,7 +130,7 @@ sim::Task<void> Socket::send(ByteSpan data) {
   owner_->stats_.bytes_sent += data.size();
   std::size_t off = 0;
   do {
-    std::size_t n = std::min(owner_->cfg_.max_fragment, data.size() - off);
+    std::size_t n = std::min(SocketFm::kMaxFragment, data.size() - off);
     SocketFm::SockHeader h;
     h.op = static_cast<std::uint16_t>(SocketFm::Op::kData);
     h.src_conn = local_id_;

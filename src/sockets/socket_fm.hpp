@@ -22,11 +22,6 @@
 
 namespace fmx::sock {
 
-struct Config {
-  /// Max payload carried per FM message (fragmentation unit).
-  std::size_t max_fragment = 8 * 1024;
-};
-
 class SocketFm;
 
 /// One endpoint of an established stream connection.
@@ -73,7 +68,7 @@ class SocketFm {
  public:
   /// Layer sockets over an FM endpoint, which other libraries may share.
   /// The endpoint must outlive this object.
-  explicit SocketFm(fm2::Endpoint& ep, Config cfg = {});
+  explicit SocketFm(fm2::Endpoint& ep);
 
   /// Passive open: allow connections to `port`.
   void listen(int port);
@@ -108,6 +103,8 @@ class SocketFm {
   static_assert(sizeof(SockHeader) == 16);
 
   static constexpr fm2::HandlerId kSockHandler = 2;
+  /// Max payload carried per FM message (fragmentation unit).
+  static constexpr std::size_t kMaxFragment = 8 * 1024;
 
   fm2::HandlerTask on_message(fm2::RecvStream& s, int src);
   sim::Task<void> send_ctrl(int node, Op op, int port, int src_conn,
@@ -115,7 +112,6 @@ class SocketFm {
   Socket* alloc_socket();
 
   fm2::Endpoint& ep_;
-  Config cfg_;
   std::vector<std::unique_ptr<Socket>> socks_;
   std::unordered_map<int, bool> listening_;             // port -> open
   std::unordered_map<int, std::deque<int>> pending_;    // port -> conn ids

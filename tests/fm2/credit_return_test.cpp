@@ -58,7 +58,7 @@ TEST(Fm2CreditReturn, OneCreditPacketPerPeerAtThresholdAcrossWords) {
   Config cfg;
   cfg.credits_per_peer = 4;
   World w(params, cfg);
-  ASSERT_EQ(w.ep(0).config().credit_return_threshold, 2);
+  ASSERT_EQ(w.ep(0).credit_return_threshold(), 2);
 
   auto sends = [](int p) { return p % 2 == 1 ? 2 : 1; };
   const Bytes msg = pattern_bytes(5, 64);

@@ -483,5 +483,80 @@ TEST(ParallelDeterminism, MatchesPinnedValues) {
       << "lossy digest changed; got 0x" << std::hex << lossy;
 }
 
+// --- A lone worker never parks --------------------------------------------
+// With one worker nobody else can make progress, so after a pass without
+// progress the worker checks quiescence itself instead of spinning,
+// yielding and parking on the condvar. A 1-thread run therefore reports no
+// parks, on one shard and on eight, and simulates exactly what it did when
+// it parked once per run (events and digest pinned from then).
+struct LoneRun {
+  net::ParallelCluster::RunResult run;
+  std::uint64_t digest = 0;
+};
+
+LoneRun run_lone_worker(int shards) {
+  constexpr int kHosts = 8;
+  constexpr int kPerPair = 3;
+  net::ParallelCluster cl(net::ppro_fm2_cluster(kHosts), shards);
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
+  std::vector<Digest> rx(kHosts);
+  std::vector<int> got(kHosts, 0);
+  std::vector<Bytes> sink(kHosts, Bytes(kMaxSize));
+  for (int i = 0; i < kHosts; ++i) {
+    eps.push_back(
+        std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i)));
+    eps[i]->register_handler(
+        0, [&rx, &sink, &got, i](fm2::RecvStream& s,
+                                 int src) -> fm2::HandlerTask {
+          const std::size_t n = s.msg_bytes();
+          if (n > 0) co_await s.receive(sink[i].data(), n);
+          rx[i].mix(crc32(ByteSpan{sink[i].data(), n}) ^
+                    static_cast<std::uint64_t>(src));
+          ++got[i];
+        });
+  }
+  for (int i = 0; i < kHosts; ++i) {
+    cl.spawn_on(i, [](fm2::Endpoint& ep, int self) -> Task<void> {
+      for (int m = 0; m < kPerPair; ++m) {
+        for (int j = 0; j < kHosts; ++j) {
+          if (j == self) continue;
+          Bytes msg = pattern_bytes(static_cast<std::uint64_t>(self) * 31 + m,
+                                    kSizes[(m + j) % 4]);
+          co_await ep.send(j, 0, ByteSpan{msg});
+        }
+      }
+    }(*eps[i], i));
+    cl.spawn_on(i, [](fm2::Endpoint& ep, int& g) -> Task<void> {
+      co_await ep.poll_until([&g] { return g == kPerPair * (kHosts - 1); });
+    }(*eps[i], got[i]));
+  }
+  LoneRun out;
+  out.run = cl.run(1);
+  Digest d;
+  d.mix(out.run.events);
+  for (int s = 0; s < cl.n_shards(); ++s) d.mix(cl.shard_engine(s).now());
+  for (int i = 0; i < kHosts; ++i) {
+    d.mix(rx[i].h);
+    d.mix(eps[i]->stats().packets_sent);
+    d.mix(eps[i]->stats().credit_packets_sent);
+  }
+  out.digest = d.h;
+  return out;
+}
+
+TEST(ParallelDeterminism, LoneWorkerNeverParks) {
+  const LoneRun one = run_lone_worker(1);
+  EXPECT_EQ(one.run.pending_roots, 0);
+  EXPECT_EQ(one.run.barrier_crossings, 0u);
+  EXPECT_EQ(one.run.events, 3934u);
+  EXPECT_EQ(one.digest, 0x29e683f9abcf3f93ull) << std::hex << one.digest;
+
+  const LoneRun eight = run_lone_worker(8);
+  EXPECT_EQ(eight.run.pending_roots, 0);
+  EXPECT_EQ(eight.run.barrier_crossings, 0u);
+  EXPECT_EQ(eight.run.events, 4168u);
+  EXPECT_EQ(eight.digest, 0xf27e80cc0419c77bull) << std::hex << eight.digest;
+}
+
 }  // namespace
 }  // namespace fmx

@@ -14,12 +14,12 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(int n, Config cfg = {})
+  explicit World(int n)
       : cluster(net::ppro_fm2_cluster(n), 1) {
     for (int i = 0; i < n; ++i) {
       eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
                                                     cluster.fabric_of(i)));
-      pes.push_back(std::make_unique<ShmemCtx>(*eps.back(), cfg));
+      pes.push_back(std::make_unique<ShmemCtx>(*eps.back()));
     }
   }
   ShmemCtx& pe(int i) { return *pes[i]; }
@@ -144,6 +144,17 @@ TEST(Shmem, PutBeyondHeapThrows) {
     Bytes b(64);
     EXPECT_THROW(
         co_await me.put(1, me.heap().size() - 10, ByteSpan{b}),
+        std::out_of_range);
+  }(w.pe(0)));
+  w.cluster.run();
+}
+
+TEST(Shmem, GetBeyondHeapThrows) {
+  World w(2);
+  w.eng.spawn([](ShmemCtx& me) -> Task<void> {
+    Bytes b(64);
+    EXPECT_THROW(
+        co_await me.get(1, me.heap().size() - 10, MutByteSpan{b}),
         std::out_of_range);
   }(w.pe(0)));
   w.cluster.run();

@@ -14,12 +14,12 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(int n, Config cfg = {})
+  explicit World(int n)
       : cluster(net::ppro_fm2_cluster(n), 1) {
     for (int i = 0; i < n; ++i) {
       eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
                                                     cluster.fabric_of(i)));
-      stacks.push_back(std::make_unique<SocketFm>(*eps.back(), cfg));
+      stacks.push_back(std::make_unique<SocketFm>(*eps.back()));
     }
   }
   SocketFm& at(int i) { return *stacks[i]; }
