@@ -177,17 +177,6 @@ std::vector<std::size_t> paper_sizes(std::size_t lo, std::size_t hi) {
   return v;
 }
 
-void print_series(const std::string& title,
-                  const std::vector<std::size_t>& sizes,
-                  const std::vector<double>& values,
-                  const std::string& unit) {
-  std::printf("%s\n", title.c_str());
-  std::printf("  %10s  %12s\n", "msg bytes", unit.c_str());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    std::printf("  %10zu  %12.2f\n", sizes[i], values[i]);
-  }
-}
-
 trace::BreakdownSummary fm1_breakdown(const net::ClusterParams& cp,
                                       std::size_t msg_size, int n_msgs,
                                       fm1::Config cfg) {

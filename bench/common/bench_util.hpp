@@ -80,12 +80,6 @@ double half_power_point(const std::function<double(std::size_t)>& bw_of,
 std::vector<std::size_t> paper_sizes(std::size_t lo = 16,
                                      std::size_t hi = 2048);
 
-/// Print a two-column series in a uniform format.
-void print_series(const std::string& title,
-                  const std::vector<std::size_t>& sizes,
-                  const std::vector<double>& values,
-                  const std::string& unit);
-
 /// Median of `v` (by copy; v may be unsorted). 0 for an empty vector.
 double median(std::vector<double> v);
 

@@ -91,11 +91,10 @@ BENCHMARK(BM_Crc32Bytewise)->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
 void BM_BufferPoolAcquire(benchmark::State& state) {
   const std::size_t n = state.range(0);
   BufferPool pool;
-  pool.release(pool.acquire(n));  // warm the size class
+  pool.prewarm(n, 1);  // warm the size class
   for (auto _ : state) {
-    Bytes b = pool.acquire(n);
+    BufferRef b = pool.acquire_ref(n);
     benchmark::DoNotOptimize(b.data());
-    pool.release(std::move(b));
   }
   state.SetItemsProcessed(state.iterations());
 }

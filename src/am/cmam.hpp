@@ -130,7 +130,6 @@ class CmamEndpoint {
   void deliver(Packet pkt) { inbox_.push_back(std::move(pkt)); }
 
   int id() const noexcept { return id_; }
-  unsigned guarantees() const noexcept { return g_; }
   const CycleLedger& src_cycles() const noexcept { return src_; }
   const CycleLedger& dest_cycles() const noexcept { return dest_; }
   std::uint64_t messages_delivered() const noexcept { return delivered_; }

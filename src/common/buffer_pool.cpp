@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 namespace fmx {
 
@@ -20,31 +19,6 @@ std::size_t BufferPool::class_for_capacity(std::size_t cap) noexcept {
   if (log2 < kMinClassLog2) return kClasses;   // too small to bother pooling
   if (log2 > kMaxClassLog2) log2 = kMaxClassLog2;
   return log2 - kMinClassLog2;
-}
-
-Bytes BufferPool::acquire(std::size_t n, bool* fresh) {
-  ++stats_.acquires;
-  if (++stats_.outstanding > stats_.outstanding_high) {
-    stats_.outstanding_high = stats_.outstanding;
-  }
-  std::size_t cls = class_for_request(n);
-  if (cls < kClasses && !free_[cls].empty()) {
-    Bytes b = std::move(free_[cls].back());
-    free_[cls].pop_back();
-    --stats_.free_buffers;
-    ++stats_.pool_hits;
-    if (fresh != nullptr) *fresh = false;
-    b.resize(n);  // capacity >= 2^(cls+kMin) >= n: never reallocates
-    return b;
-  }
-  ++stats_.fresh_allocs;
-  if (fresh != nullptr) *fresh = true;
-  Bytes b;
-  // Round fresh allocations up to the class size so the buffer lands back
-  // in the same class on release regardless of n.
-  if (cls < kClasses) b.reserve(std::size_t{1} << (cls + kMinClassLog2));
-  b.resize(n);
-  return b;
 }
 
 BufferPool::~BufferPool() {
@@ -109,18 +83,6 @@ void BufferPool::return_block(detail::BlockHeader* h) noexcept {
     return;
   }
   free_blocks_[cls].push_back(h);
-  if (++stats_.free_buffers > stats_.free_high) {
-    stats_.free_high = stats_.free_buffers;
-  }
-}
-
-void BufferPool::release(Bytes&& b) {
-  if (b.capacity() == 0) return;
-  ++stats_.releases;
-  if (stats_.outstanding > 0) --stats_.outstanding;
-  std::size_t cls = class_for_capacity(b.capacity());
-  if (cls >= kClasses || free_[cls].size() >= retain_limit(cls)) return;
-  free_[cls].push_back(std::move(b));
   if (++stats_.free_buffers > stats_.free_high) {
     stats_.free_high = stats_.free_buffers;
   }

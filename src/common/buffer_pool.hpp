@@ -1,13 +1,13 @@
-// Recycling pool for packet-sized byte buffers. The simulated data path
-// creates and destroys a Bytes per packet (FM frame assembly, wire
-// transit, NIC receive staging); without pooling every packet pays a
-// malloc/free pair even in steady state. The pool keeps freed buffers in
-// power-of-two capacity classes and hands them back on acquire, so a
+// Recycling pool for packet-sized, refcounted byte blocks. Every packet on
+// the simulated data path (FM frame assembly, wire transit, NIC receive
+// staging) lives in a BufferRef block; without pooling each one would cost
+// a malloc/free pair even in steady state. The pool parks dead blocks in
+// power-of-two capacity classes and hands them back on acquire_ref, so a
 // steady stream reaches its high-water mark and then stops touching the
 // allocator entirely.
 //
-// Buffers are returned with size() == n but are NOT zeroed: every producer
-// on the data path overwrites the full payload before the buffer reaches
+// Blocks are returned with size() == n but are NOT zeroed: every producer
+// on the data path overwrites the full payload before the block reaches
 // the wire (FM's gather/stream copies fill byte 0..n-1, headers are
 // memcpy'd over the first kHdr bytes). Callers that need cleared memory
 // must clear it themselves.
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/buffer.hpp"
 #include "common/buffer_ref.hpp"
 
 namespace fmx {
@@ -26,20 +25,26 @@ namespace fmx {
 class BufferPool {
  public:
   struct Stats {
-    std::uint64_t acquires = 0;      // total acquire() calls
+    std::uint64_t acquires = 0;      // blocks handed out
     std::uint64_t pool_hits = 0;     // served from a free list
-    std::uint64_t fresh_allocs = 0;  // had to allocate a new buffer
-    std::uint64_t releases = 0;      // total release() calls (non-empty)
+    std::uint64_t fresh_allocs = 0;  // had to allocate a new block
+    std::uint64_t releases = 0;      // blocks come home (refs hit zero)
     std::uint64_t outstanding = 0;   // acquired and not yet released
     std::uint64_t outstanding_high = 0;
     std::uint64_t free_buffers = 0;  // parked in free lists right now
     std::uint64_t free_high = 0;
   };
 
-  /// `retain_bytes_per_class` is the byte budget each size class may park
-  /// (see release()). The 4 MiB default serves every preset, the
-  /// thousand-host fat-tree included; only the fabric_scale bench raises
-  /// it, to hold its much larger live-buffer high water.
+  /// `retain_bytes_per_class` is the byte budget each size class may park.
+  /// Classes already at their limit drop the excess back to the allocator
+  /// so a burst can't pin memory forever. The limit is a byte budget per
+  /// class (with a small floor), not a flat count: packet-sized classes
+  /// retain thousands of blocks — batched parallel quanta legitimately
+  /// keep hundreds of packets alive at once, and a flat cap would put the
+  /// allocator back on the steady-state path every burst. The 4 MiB
+  /// default serves every preset, the thousand-host fat-tree included;
+  /// only the fabric_scale bench raises it, to hold its much larger
+  /// live-buffer high water.
   explicit BufferPool(
       std::size_t retain_bytes_per_class = kDefaultRetainBytesPerClass)
       : retain_bytes_per_class_(retain_bytes_per_class) {}
@@ -47,23 +52,11 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
   ~BufferPool();
 
-  /// Get a buffer with size() == n. Reuses a pooled buffer whose capacity
-  /// covers n when one is available. If `fresh` is non-null it is set to
-  /// whether the buffer had to be newly allocated (pool miss).
-  Bytes acquire(std::size_t n, bool* fresh = nullptr);
-
-  /// Return a buffer to the pool. Buffers with no capacity are ignored;
-  /// classes already at their retention limit drop the excess back to the
-  /// allocator so a burst can't pin memory forever. The limit is a byte
-  /// budget per class (with a small floor), not a flat count: packet-sized
-  /// classes retain thousands of buffers — batched parallel quanta
-  /// legitimately keep hundreds of packets alive at once, and a flat cap
-  /// would put the allocator back on the steady-state path every burst.
-  void release(Bytes&& b);
-
-  /// Refcounted sibling of acquire(): a unique BufferRef with size() == n,
-  /// backed by an intrusively-headed block recycled through the pool when
-  /// the last reference drops. The bytes are NOT initialized (no hidden
+  /// A unique BufferRef with size() == n, backed by an intrusively-headed
+  /// block recycled through the pool when the last reference drops. Reuses
+  /// a parked block whose capacity covers n when one is available. If
+  /// `fresh` is non-null it is set to whether the block had to be newly
+  /// allocated (pool miss). The bytes are NOT initialized (no hidden
   /// zero-fill — producers overwrite the full view).
   BufferRef acquire_ref(std::size_t n, bool* fresh = nullptr);
 
@@ -80,8 +73,8 @@ class BufferPool {
 
   /// Pop (or allocate) a block covering n; refs=1, size=n, pool=this.
   detail::BlockHeader* take_block(std::size_t n, bool* fresh);
-  /// Dead block coming home (refs hit zero). Shares the retain policy and
-  /// Stats counters with the Bytes side.
+  /// Dead block coming home (refs hit zero): parked, or freed when its
+  /// class is at the retention limit.
   void return_block(detail::BlockHeader* h) noexcept;
 
   // Capacity classes 2^6 (64 B) .. 2^20 (1 MiB); anything larger is clamped
@@ -104,7 +97,6 @@ class BufferPool {
   }
 
   std::size_t retain_bytes_per_class_ = kDefaultRetainBytesPerClass;
-  std::array<std::vector<Bytes>, kClasses> free_;
   std::array<std::vector<detail::BlockHeader*>, kClasses> free_blocks_;
   Stats stats_;
 };

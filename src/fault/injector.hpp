@@ -42,7 +42,6 @@ class PlanInjector final : public net::FaultInjector {
     }
   };
   const Stats& stats() const noexcept { return stats_; }
-  const FaultPlan& plan() const noexcept { return plan_; }
 
  private:
   const WireRates& rates_for(int src, int dst) const;

@@ -344,8 +344,6 @@ sim::Task<int> Endpoint::extract() {
   co_return completed;
 }
 
-void Endpoint::kick() { node_.nic().host_ring().poke(); }
-
 sim::Task<void> Endpoint::poll_until(const std::function<bool()>& done) {
   auto& host = node_.host();
   while (!done()) {

@@ -69,8 +69,6 @@ class Endpoint {
   /// Poll extract() until `done` returns true (convenience for programs
   /// that would spin on the network).
   sim::Task<void> poll_until(const std::function<bool()>& done);
-  /// Wake a sleeping poll_until so it re-checks its condition.
-  void kick();
 
   void register_handler(HandlerId id, Handler h);
 
@@ -105,8 +103,6 @@ class Endpoint {
   int credits_pending_return(int src) const { return freed_[src]; }
   /// Packets parked host-side while a blocked sender hunted for credits.
   std::size_t parked_packets() const noexcept { return pending_.size(); }
-  /// Multi-packet messages currently mid-reassembly.
-  std::size_t partial_messages() const noexcept { return partials_.size(); }
 
  private:
   struct Partial {

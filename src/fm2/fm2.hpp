@@ -168,9 +168,6 @@ class RecvStream {
 class SendStream {
  public:
   SendStream() = default;
-  int dest() const noexcept { return dest_; }
-  std::size_t declared_bytes() const noexcept { return total_; }
-  std::size_t composed_bytes() const noexcept { return sent_; }
 
  private:
   friend class Endpoint;

@@ -20,7 +20,6 @@ class GlobalArray {
               std::size_t heap_off = 0);
 
   std::size_t rows() const noexcept { return rows_; }
-  std::size_t cols() const noexcept { return cols_; }
   /// Rows [row_begin, row_end) held by PE `pe`.
   std::size_t row_begin(int pe) const;
   std::size_t row_end(int pe) const;

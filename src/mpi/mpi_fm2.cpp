@@ -355,10 +355,8 @@ sim::Task<Request> MpiFm2::do_post_recv(MutByteSpan buf, int src, int tag) {
 
 sim::Task<void> MpiFm2::progress_until(std::function<bool()> done) {
   auto& host = fm_.host();
-  std::size_t budget =
-      extract_budget_ == 0 ? fm2::Endpoint::kNoLimit : extract_budget_;
   while (!done()) {
-    (void)co_await fm_.extract(budget);
+    (void)co_await fm_.extract();
     if (done()) break;
     host.charge(Cost::kCall, host.params().poll_gap);
     co_await host.sync();
@@ -381,8 +379,7 @@ std::optional<Status> MpiFm2::peek_unexpected(int src, int tag) {
 }
 
 sim::Task<void> MpiFm2::progress_once() {
-  (void)co_await fm_.extract(extract_budget_ == 0 ? fm2::Endpoint::kNoLimit
-                                                  : extract_budget_);
+  (void)co_await fm_.extract();
 }
 
 // --- NIC-offloaded collectives ---------------------------------------------

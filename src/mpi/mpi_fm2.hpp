@@ -66,9 +66,6 @@ class MpiFm2 : public Comm {
   }
   fm2::Endpoint& fm() noexcept { return fm_; }
 
-  /// Receive-side pacing (bytes per FM_extract while blocked); 0 = no limit.
-  void set_extract_budget(std::size_t bytes) { extract_budget_ = bytes; }
-
   // NIC-offloaded collectives (opt.nic_collectives). Rooted ops with
   // root != 0 or operands above kCollMaxBytes fall back to the host-level
   // base algorithms.
@@ -154,7 +151,6 @@ class MpiFm2 : public Comm {
   std::unordered_map<std::uint64_t, PendingRdzvSend> rdzv_sends_;
   std::unordered_map<std::uint64_t, RdzvRecv> rdzv_recvs_;
   std::uint64_t send_seq_ = 0;
-  std::size_t extract_budget_ = 0;
   static constexpr std::uint32_t kCollGroupId = 0x4D504943;  // "MPIC"
   bool coll_joined_ = false;
 };

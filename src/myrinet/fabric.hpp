@@ -59,11 +59,6 @@ class Fabric {
   sim::Ps zero_load_latency(int src, int dst, std::size_t payload) const;
   /// Routing geometry (hop counts, ECMP path enumeration, link levels).
   const Topo& topo() const noexcept { return topo_; }
-  /// Link-id path a flow takes — a fresh vector per call, so interleaved
-  /// queries never alias (regression coverage for the old route() scratch).
-  std::vector<int> path_of(int src, int dst, std::uint32_t flow) const {
-    return topo_.path(src, dst, flow);
-  }
 
   struct Stats {
     std::uint64_t packets = 0;
@@ -81,7 +76,6 @@ class Fabric {
   /// Arm (or disarm, with nullptr) a fault injector. The injector must
   /// outlive all traffic; it is consulted at every packet's delivery point.
   void set_fault(FaultInjector* f) noexcept { fault_ = f; }
-  FaultInjector* fault() const noexcept { return fault_; }
 
   /// Shared packet-buffer pool for everything attached to this fabric (NICs
   /// and the messaging layers above them). One pool per cluster means a

@@ -22,10 +22,6 @@ sim::Task<void> Nic::tx_fetch_program() {
       fabric_.tracer().record(trace::EventType::kDmaEnd, trace::Layer::kNic,
                               id_, d.trace_id, d.payload.size());
     }
-    if (d.on_fetched) {
-      d.on_fetched();
-      d.on_fetched = nullptr;
-    }
     co_await tx_sram_.push(std::move(d));
   }
 }

@@ -30,12 +30,8 @@ namespace fmx::net {
 /// the coroutine-parameter rule in sim/task.hpp.
 struct SendDescriptor {
   SendDescriptor() = default;
-  SendDescriptor(int dst_, BufferRef payload_, bool fetch_dma_,
-                 std::function<void()> on_fetched_ = {})
-      : dst(dst_),
-        payload(std::move(payload_)),
-        fetch_dma(fetch_dma_),
-        on_fetched(std::move(on_fetched_)) {}
+  SendDescriptor(int dst_, BufferRef payload_, bool fetch_dma_)
+      : dst(dst_), payload(std::move(payload_)), fetch_dma(fetch_dma_) {}
 
   int dst = -1;
   BufferRef payload;
@@ -45,8 +41,6 @@ struct SendDescriptor {
   /// (FM 1.x style), or the NIC control program built them locally
   /// (collective combine/fan-out forwarding).
   bool fetch_dma = false;
-  /// Invoked once the payload has left host memory (pinned buffer reusable).
-  std::function<void()> on_fetched;
   /// Tracing metadata (trace::Tracer::msg_id); copied onto the WirePacket.
   std::uint64_t trace_id = 0;
   /// Remote-write addressing, threaded onto the WirePacket (see packet.hpp).
@@ -56,6 +50,9 @@ struct SendDescriptor {
   /// ECMP flow label, threaded onto the WirePacket (see packet.hpp).
   std::uint32_t flow = 0;
 };
+// Moved through two NIC channels per packet: a field that grows it must
+// edit this number on purpose.
+static_assert(sizeof(SendDescriptor) == 56);
 
 class Nic {
  public:
@@ -122,10 +119,6 @@ class Nic {
   sim::Task<void> enqueue(SendDescriptor d) {
     return tx_queue_.push(std::move(d));
   }
-  bool try_enqueue(SendDescriptor d) {
-    return tx_queue_.try_push(std::move(d));
-  }
-  bool tx_queue_full() const noexcept { return tx_queue_.full(); }
 
   /// Host receive region: the messaging layer's FM_extract pops from here.
   sim::Channel<RxPacket>& host_ring() noexcept { return host_ring_; }
@@ -164,9 +157,6 @@ class Nic {
   /// parked and replayed at installation, so members may install in any
   /// order relative to wire traffic.
   void coll_create(const CollGroupSpec& spec);
-  bool coll_has_group(std::uint32_t id) const noexcept {
-    return coll_groups_.find(id) != coll_groups_.end();
-  }
   /// This node's tree slice (test/debug inspection).
   const CollTree& coll_tree_of(std::uint32_t id) const {
     return coll_groups_.at(id).tree;

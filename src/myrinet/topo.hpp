@@ -46,7 +46,6 @@ class Topo {
   /// Fat-trees may be partially populated: any n_hosts up to capacity.
   Topo(const FabricParams& p, int n_hosts);
 
-  TopologyKind kind() const noexcept { return kind_; }
   int n_hosts() const noexcept { return n_hosts_; }
   int n_links() const noexcept { return n_links_; }
   int n_switches() const noexcept { return n_switches_; }

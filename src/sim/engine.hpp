@@ -239,6 +239,7 @@ class Engine {
     std::uint64_t seq;
     std::uintptr_t payload;
   };
+  static_assert(sizeof(HeapEvent) == 24);  // three words per sift move
 
   /// 4-ary min-heap keyed on (t, seq) in one contiguous vector. Shallower
   /// than a binary heap, and with 24-byte entries the four children of a

@@ -76,7 +76,6 @@ class CostLedger {
   std::uint64_t copies() const noexcept { return copies_.value; }
   std::uint64_t copied_bytes() const noexcept { return copied_bytes_.value; }
   std::uint64_t allocs() const noexcept { return allocs_.value; }
-  std::uint64_t alloc_bytes() const noexcept { return alloc_bytes_.value; }
 
   /// Live cells for trace::MetricsRegistry::expose() — lets the registry
   /// read this ledger's counters by name without copying them.

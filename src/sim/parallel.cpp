@@ -44,14 +44,6 @@ ParallelEngine::Mailbox::Mailbox() : ring(kMailboxSlots, kMailboxSlotBytes) {
   }
 }
 
-ParallelEngine::ParallelEngine(int n_shards, Ps lookahead,
-                               Transport transport)
-    : ParallelEngine(n_shards,
-                     std::vector<Ps>(
-                         static_cast<std::size_t>(n_shards) * n_shards,
-                         lookahead),
-                     std::move(transport)) {}
-
 ParallelEngine::ParallelEngine(int n_shards, std::vector<Ps> lookahead,
                                Transport transport)
     : lookahead_(std::move(lookahead)), transport_(std::move(transport)) {

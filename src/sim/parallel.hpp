@@ -118,16 +118,14 @@ class ParallelEngine {
   static constexpr std::size_t kMailboxSlots = 256;
   static constexpr std::size_t kMailboxSlotBytes = 1352;
 
-  /// Uniform lookahead: every shard pair is `lookahead` (>= 1 ps) apart.
-  /// An engine whose shards never exchange messages may pass `{}` as the
-  /// transport.
-  ParallelEngine(int n_shards, Ps lookahead, Transport transport);
   /// Per-pair lookahead matrix, row-major `n_shards * n_shards`;
-  /// entry [src * n_shards + dst] bounds the propagation src -> dst
-  /// (diagonal ignored). The matrix is metric-closed internally
+  /// entry [src * n_shards + dst] (>= 1 ps) bounds the propagation
+  /// src -> dst (diagonal ignored). The matrix is metric-closed internally
   /// (L[a][c] <= L[a][b] + L[b][c] afterwards) — a requirement of the
   /// soundness argument above, and never a loosening: a relay chain is a
-  /// real propagation path, so the direct bound may not exceed it.
+  /// real propagation path, so the direct bound may not exceed it. An
+  /// engine whose shards never exchange messages may pass `{}` as the
+  /// transport.
   ParallelEngine(int n_shards, std::vector<Ps> lookahead,
                  Transport transport);
   ParallelEngine(const ParallelEngine&) = delete;
@@ -167,7 +165,6 @@ class ParallelEngine {
   /// reaction time breaks the soundness induction exactly like an inflated
   /// lookahead would.
   void set_reaction_gap(int shard, Ps gap) { reaction_gap_[shard] = gap; }
-  Ps reaction_gap(int shard) const { return reaction_gap_[shard]; }
 
   struct RunResult {
     std::uint64_t events = 0;  ///< events processed across all shards

@@ -8,11 +8,9 @@
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/ring.hpp"
-#include "sim/task.hpp"
 
 namespace fmx::sim {
 
@@ -81,14 +79,6 @@ class Semaphore {
     return Awaiter{*this};
   }
 
-  bool try_acquire() noexcept {
-    if (count_ > 0) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
   void release(long n = 1) {
     for (long i = 0; i < n; ++i) {
       if (!waiters_.empty()) {
@@ -107,66 +97,6 @@ class Semaphore {
   Engine& eng_;
   long count_;
   RingQueue<std::coroutine_handle<>> waiters_;
-};
-
-/// One-shot latch: waiters block until open() fires; waits after that
-/// complete immediately.
-class Gate {
- public:
-  explicit Gate(Engine& eng) : eng_(eng) {}
-  Gate(const Gate&) = delete;
-  Gate& operator=(const Gate&) = delete;
-
-  auto wait() {
-    struct Awaiter {
-      Gate& g;
-      bool await_ready() const noexcept { return g.open_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        g.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  void open() {
-    if (open_) return;
-    open_ = true;
-    for (auto h : waiters_) eng_.schedule_at(eng_.now(), h);
-    waiters_.clear();
-  }
-
-  bool is_open() const noexcept { return open_; }
-
- private:
-  Engine& eng_;
-  bool open_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// Fork/join helper: spawn several root tasks, then co_await join().
-class JoinSet {
- public:
-  explicit JoinSet(Engine& eng) : eng_(eng), done_(eng) {}
-
-  void spawn(Task<void> t) {
-    ++pending_;
-    eng_.spawn(wrap(std::move(t)));
-  }
-
-  Task<void> join() {
-    if (pending_ > 0) co_await done_.wait();
-  }
-
- private:
-  Task<void> wrap(Task<void> t) {
-    co_await std::move(t);
-    if (--pending_ == 0) done_.open();
-  }
-
-  Engine& eng_;
-  int pending_ = 0;
-  Gate done_;
 };
 
 }  // namespace fmx::sim

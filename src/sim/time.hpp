@@ -37,10 +37,4 @@ constexpr double to_seconds(Ps t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kPsPerSec);
 }
 
-/// Bandwidth helper: picoseconds to move `bytes` at `bytes_per_second`.
-constexpr Ps transfer_time(std::uint64_t bytes, double bytes_per_second) {
-  return static_cast<Ps>(static_cast<double>(bytes) *
-                         (static_cast<double>(kPsPerSec) / bytes_per_second));
-}
-
 }  // namespace fmx::sim

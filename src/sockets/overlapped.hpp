@@ -55,8 +55,6 @@ class Overlapped {
   /// Block until any of `reqs` completes; returns the first done index.
   sim::Task<int> wait_any(std::span<IoRequest> reqs);
 
-  std::size_t pending_recvs() const noexcept { return posted_.size(); }
-
  private:
   struct Posted {
     Posted() = default;

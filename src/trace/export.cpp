@@ -273,33 +273,6 @@ BreakdownSummary summarize_breakdown(const Tracer& tracer) {
   return s;
 }
 
-std::string format_breakdown_table(const std::vector<MessageBreakdown>& rows,
-                                   std::size_t max_rows) {
-  std::ostringstream os;
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "  %-18s %8s %9s %9s %9s %9s %9s\n",
-                "msg id", "bytes", "host us", "wire us", "queue us",
-                "handler us", "total us");
-  os << buf;
-  std::size_t n = std::min(rows.size(), max_rows);
-  for (std::size_t i = 0; i < n; ++i) {
-    const MessageBreakdown& r = rows[i];
-    std::snprintf(buf, sizeof buf,
-                  "  %-18s %8llu %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-                  esc_id(r.msg_id).c_str(),
-                  static_cast<unsigned long long>(r.bytes),
-                  sim::to_us(r.host), sim::to_us(r.wire), sim::to_us(r.queue),
-                  sim::to_us(r.handler), sim::to_us(r.total));
-    os << buf;
-  }
-  if (rows.size() > n) {
-    std::snprintf(buf, sizeof buf, "  ... %zu more messages\n",
-                  rows.size() - n);
-    os << buf;
-  }
-  return os.str();
-}
-
 const char* env_trace_path() noexcept {
   const char* p = std::getenv("FMX_TRACE");
   return (p && *p) ? p : nullptr;

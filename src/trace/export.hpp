@@ -63,11 +63,6 @@ struct BreakdownSummary {
 
 BreakdownSummary summarize_breakdown(const Tracer& tracer);
 
-/// Render the summary as the bench-table row block used by
-/// bench/headline_table and bench/cost_breakdown.
-std::string format_breakdown_table(const std::vector<MessageBreakdown>& rows,
-                                   std::size_t max_rows = 8);
-
 /// FMX_TRACE=<path> support: value of the env var, or nullptr if unset.
 /// Examples/benches call env_trace_path() once to decide whether to
 /// enable the tracer and where to dump the JSON on exit.

@@ -71,13 +71,6 @@ class Histogram {
   /// the first bucket to the data's real support.
   std::uint64_t min() const noexcept { return count_ == 0 ? 0 : min_; }
   std::uint64_t max() const noexcept { return count_ == 0 ? 0 : max_; }
-  const std::vector<std::uint64_t>& bounds() const noexcept {
-    return bounds_;
-  }
-  /// counts()[i] pairs with bounds()[i]; counts().back() is the overflow.
-  const std::vector<std::uint64_t>& counts() const noexcept {
-    return counts_;
-  }
 
   /// q-quantile estimate (q in [0, 1]) with linear interpolation inside
   /// the covering bucket, Prometheus-style: rank q*count is located in the

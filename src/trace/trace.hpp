@@ -93,7 +93,6 @@ class Tracer {
   /// Allocation happens here, never in record().
   void enable(std::size_t capacity_events = 1 << 18);
   void disable() noexcept { enabled_ = false; }
-  bool enabled() const noexcept { return enabled_; }
 
   /// Drop all recorded events (storage is kept for reuse).
   void clear() noexcept;

@@ -10,24 +10,26 @@ namespace {
 TEST(BufferPool, FirstAcquireIsFresh) {
   BufferPool pool;
   bool fresh = false;
-  Bytes b = pool.acquire(100, &fresh);
+  BufferRef b = pool.acquire_ref(100, &fresh);
   EXPECT_TRUE(fresh);
   EXPECT_EQ(b.size(), 100u);
-  EXPECT_GE(b.capacity(), 128u);  // rounded up to the 2^7 class
   EXPECT_EQ(pool.stats().fresh_allocs, 1u);
   EXPECT_EQ(pool.stats().pool_hits, 0u);
   EXPECT_EQ(pool.stats().outstanding, 1u);
+  b.reset();
+  (void)pool.acquire_ref(128, &fresh);
+  EXPECT_FALSE(fresh);  // the block was rounded up to the 2^7 class
 }
 
 TEST(BufferPool, ReleaseThenAcquireHitsPool) {
   BufferPool pool;
-  Bytes b = pool.acquire(100);
+  BufferRef b = pool.acquire_ref(100);
   const std::byte* data = b.data();
-  pool.release(std::move(b));
+  b.reset();
   EXPECT_EQ(pool.stats().free_buffers, 1u);
 
   bool fresh = true;
-  Bytes again = pool.acquire(90, &fresh);  // same 128-B class
+  BufferRef again = pool.acquire_ref(90, &fresh);  // same 128-B class
   EXPECT_FALSE(fresh);
   EXPECT_EQ(again.data(), data);  // literally the same storage
   EXPECT_EQ(again.size(), 90u);
@@ -37,54 +39,54 @@ TEST(BufferPool, ReleaseThenAcquireHitsPool) {
 
 TEST(BufferPool, DistinctClassesDoNotMix) {
   BufferPool pool;
-  pool.release(pool.acquire(64));   // 2^6 class
+  (void)pool.acquire_ref(64);  // 2^6 class; parked again at once
   bool fresh = false;
-  Bytes big = pool.acquire(4096, &fresh);  // 2^12 class: must be fresh
+  BufferRef big = pool.acquire_ref(4096, &fresh);  // 2^12 class: fresh
   EXPECT_TRUE(fresh);
-  EXPECT_GE(big.capacity(), 4096u);
+  EXPECT_EQ(big.size(), 4096u);
+  EXPECT_EQ(pool.stats().free_buffers, 1u);  // the 64-B block stays parked
 }
 
 TEST(BufferPool, AcquiredSizeIsExactAcrossReuse) {
   BufferPool pool;
-  pool.release(pool.acquire(1024));
+  (void)pool.acquire_ref(1024);
   for (std::size_t n : {513u, 1024u, 600u}) {
-    Bytes b = pool.acquire(n);  // all land in the 1-KiB class
+    BufferRef b = pool.acquire_ref(n);  // all land in the 1-KiB class
     EXPECT_EQ(b.size(), n);
-    pool.release(std::move(b));
   }
+  EXPECT_EQ(pool.stats().fresh_allocs, 1u);
 }
 
 TEST(BufferPool, OutstandingHighWaterTracksPeak) {
   BufferPool pool;
-  std::vector<Bytes> held;
-  for (int i = 0; i < 5; ++i) held.push_back(pool.acquire(256));
+  std::vector<BufferRef> held;
+  for (int i = 0; i < 5; ++i) held.push_back(pool.acquire_ref(256));
   EXPECT_EQ(pool.stats().outstanding, 5u);
   EXPECT_EQ(pool.stats().outstanding_high, 5u);
-  for (auto& b : held) pool.release(std::move(b));
   held.clear();
   EXPECT_EQ(pool.stats().outstanding, 0u);
   EXPECT_EQ(pool.stats().outstanding_high, 5u);  // peak sticks
-  (void)pool.acquire(256);
+  (void)pool.acquire_ref(256);
   EXPECT_EQ(pool.stats().outstanding_high, 5u);
 }
 
 TEST(BufferPool, RetentionCapDropsBurstExcess) {
   // Retention is byte-budgeted per class (kDefaultRetainBytesPerClass,
-  // floored at kRetainPerClass buffers): a small-class burst parks entirely,
+  // floored at kRetainPerClass blocks): a small-class burst parks entirely,
   // while a large-class burst is trimmed so it can't pin memory forever.
   BufferPool pool;
-  std::vector<Bytes> held;
-  for (int i = 0; i < 80; ++i) held.push_back(pool.acquire(512));
-  for (auto& b : held) pool.release(std::move(b));
+  std::vector<BufferRef> held;
+  for (int i = 0; i < 80; ++i) held.push_back(pool.acquire_ref(512));
+  held.clear();
   // 80 x 512 B = 40 KiB, far under the 4 MiB class budget: all parked.
   EXPECT_EQ(pool.stats().free_buffers, 80u);
 
   BufferPool big;
-  std::vector<Bytes> burst;
-  // 64 KiB class: 4 MiB / 64 KiB = 64 buffers is exactly the floor, so
-  // releasing 72 must drop the 8 beyond the cap back to the allocator.
-  for (int i = 0; i < 72; ++i) burst.push_back(big.acquire(64u << 10));
-  for (auto& b : burst) big.release(std::move(b));
+  std::vector<BufferRef> burst;
+  // 64 KiB class: 4 MiB / 64 KiB = 64 blocks is exactly the floor, so
+  // returning 72 must drop the 8 beyond the cap back to the allocator.
+  for (int i = 0; i < 72; ++i) burst.push_back(big.acquire_ref(64u << 10));
+  burst.clear();
   EXPECT_EQ(big.stats().free_buffers, 64u);
 }
 
@@ -110,30 +112,23 @@ TEST(BufferPool, PrewarmParksUpToRetentionLimit) {
 
 TEST(BufferPool, OversizeRequestsBypassRetention) {
   BufferPool pool;
-  Bytes huge = pool.acquire(2u << 20);  // 2 MiB: above the top class
+  BufferRef huge = pool.acquire_ref(2u << 20);  // 2 MiB: above the top class
   EXPECT_EQ(huge.size(), 2u << 20);
-  pool.release(std::move(huge));
+  huge.reset();
   bool fresh = false;
-  Bytes again = pool.acquire(2u << 20, &fresh);
-  EXPECT_TRUE(fresh);  // not recycled: out-of-class buffers are dropped
-}
-
-TEST(BufferPool, EmptyBuffersIgnoredOnRelease) {
-  BufferPool pool;
-  pool.release(Bytes{});  // capacity 0: no-op, no underflow
-  EXPECT_EQ(pool.stats().free_buffers, 0u);
-  EXPECT_EQ(pool.stats().outstanding, 0u);
+  BufferRef again = pool.acquire_ref(2u << 20, &fresh);
+  EXPECT_TRUE(fresh);  // not recycled: out-of-class blocks are freed
 }
 
 TEST(BufferPool, ZeroSizeAcquireWorks) {
   BufferPool pool;
-  Bytes b = pool.acquire(0);
+  BufferRef b = pool.acquire_ref(0);
   EXPECT_EQ(b.size(), 0u);
-  EXPECT_GE(b.capacity(), 64u);  // still a pooled 64-B-class buffer
-  pool.release(std::move(b));
+  b.reset();
+  EXPECT_EQ(pool.stats().free_buffers, 1u);
   bool fresh = true;
-  (void)pool.acquire(1, &fresh);
-  EXPECT_FALSE(fresh);
+  (void)pool.acquire_ref(1, &fresh);
+  EXPECT_FALSE(fresh);  // still a pooled 64-B-class block
 }
 
 }  // namespace

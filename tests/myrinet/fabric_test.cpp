@@ -23,7 +23,7 @@ TEST(Fabric, DeliversPayloadIntact) {
   Bytes data = pattern_bytes(1, 300);
   eng.spawn([](ParallelCluster& c, Bytes d) -> Task<void> {
     co_await c.node(0).nic().enqueue(SendDescriptor{
-        1, BufferRef::copy_of(ByteSpan{d}), true, {}});
+        1, BufferRef::copy_of(ByteSpan{d}), true});
   }(cl, data));
   bool got = false;
   eng.spawn([](ParallelCluster& c, bool& g) -> Task<void> {
@@ -49,7 +49,7 @@ TEST(Fabric, InOrderDeliveryPerSourceDest) {
       Bytes b(4);
       std::memcpy(b.data(), &i, 4);
       co_await c.node(0).nic().enqueue(SendDescriptor{
-          1, BufferRef::copy_of(ByteSpan{b}), true, {}});
+          1, BufferRef::copy_of(ByteSpan{b}), true});
     }
   }(cl));
   int received = 0;
@@ -73,7 +73,7 @@ TEST(Fabric, LatencyMatchesZeroLoadModel) {
   sim::Ps arrival = 0;
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     co_await c.node(0).nic().enqueue(
-        SendDescriptor{1, BufferRef::copy_of(ByteSpan{Bytes(64)}), true, {}});
+        SendDescriptor{1, BufferRef::copy_of(ByteSpan{Bytes(64)}), true});
   }(cl));
   eng.spawn([](ParallelCluster& c, sim::Ps& t) -> Task<void> {
     RxPacket pk = co_await c.node(1).nic().host_ring().pop();
@@ -98,7 +98,7 @@ TEST(Fabric, BandwidthBoundedByBottleneckStage) {
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       co_await c.node(0).nic().enqueue(SendDescriptor{
-          1, BufferRef::copy_of(ByteSpan{Bytes(kSize)}), true, {}});
+          1, BufferRef::copy_of(ByteSpan{Bytes(kSize)}), true});
     }
   }(cl));
   eng.spawn([](ParallelCluster& c, sim::Ps& d) -> Task<void> {
@@ -127,7 +127,7 @@ TEST(Fabric, BitErrorsDetectedAndDropped) {
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       co_await c.node(0).nic().enqueue(SendDescriptor{
-          1, BufferRef::copy_of(ByteSpan{pattern_bytes(i, 512)}), true, {}});
+          1, BufferRef::copy_of(ByteSpan{pattern_bytes(i, 512)}), true});
     }
   }(cl));
   int received = 0;
@@ -154,7 +154,7 @@ TEST(Fabric, CorruptedPayloadNeverReachesHost) {
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < 200; ++i) {
       co_await c.node(0).nic().enqueue(SendDescriptor{
-          1, BufferRef::copy_of(ByteSpan{pattern_bytes(7, 256)}), true, {}});
+          1, BufferRef::copy_of(ByteSpan{pattern_bytes(7, 256)}), true});
     }
   }(cl));
   eng.spawn_daemon([](ParallelCluster& c) -> Task<void> {
@@ -180,7 +180,7 @@ TEST(Fabric, MultiSwitchRouting) {
   bool got = false;
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     co_await c.node(0).nic().enqueue(SendDescriptor{
-        19, BufferRef::copy_of(ByteSpan{pattern_bytes(3, 100)}), true, {}});
+        19, BufferRef::copy_of(ByteSpan{pattern_bytes(3, 100)}), true});
   }(cl));
   eng.spawn([](ParallelCluster& c, bool& g) -> Task<void> {
     RxPacket pk = co_await c.node(19).nic().host_ring().pop();
@@ -201,7 +201,7 @@ TEST(Fabric, LoopbackDelivery) {
   bool got = false;
   eng.spawn([](ParallelCluster& c, bool& g) -> Task<void> {
     co_await c.node(0).nic().enqueue(SendDescriptor{
-        0, BufferRef::copy_of(ByteSpan{pattern_bytes(9, 40)}), true, {}});
+        0, BufferRef::copy_of(ByteSpan{pattern_bytes(9, 40)}), true});
     RxPacket pk = co_await c.node(0).nic().host_ring().pop();
     EXPECT_EQ(pk.src, 0);
     EXPECT_EQ(pattern_mismatch(9, 0, pk.payload), -1);
@@ -221,7 +221,7 @@ TEST(Fabric, ContentionTwoSendersOneReceiver) {
     eng.spawn([](ParallelCluster& c, int src) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
         co_await c.node(src).nic().enqueue(SendDescriptor{
-            2, BufferRef::copy_of(ByteSpan{Bytes(kSize)}), true, {}});
+            2, BufferRef::copy_of(ByteSpan{Bytes(kSize)}), true});
       }
     }(cl, s));
   }
@@ -253,7 +253,7 @@ TEST(Fabric, BackPressureLimitsInFlight) {
   eng.spawn([](ParallelCluster& c, int& s) -> Task<void> {
     for (int i = 0; i < 100; ++i) {
       co_await c.node(0).nic().enqueue(SendDescriptor{
-          1, BufferRef::copy_of(ByteSpan{Bytes(64)}), true, {}});
+          1, BufferRef::copy_of(ByteSpan{Bytes(64)}), true});
       ++s;
     }
   }(cl, sent));

@@ -8,9 +8,8 @@
 #include <set>
 #include <vector>
 
-#include "myrinet/fabric.hpp"
+#include "myrinet/params.hpp"
 #include "myrinet/topo.hpp"
-#include "sim/engine.hpp"
 
 namespace fmx::net {
 namespace {
@@ -192,15 +191,6 @@ TEST(Topo, InterleavedRoutesDoNotAlias) {
     EXPECT_EQ(t.link_at(0, 9, 5, i), snapshot[i]);
   }
   EXPECT_EQ(first, snapshot);
-
-  // Same property through the Fabric wrapper benches/tests use.
-  sim::Engine eng;
-  FabricParams fp = fat_tree_params(4);
-  Fabric fab(eng, fp, 16);
-  const auto a = fab.path_of(0, 9, 5);
-  const auto b = fab.path_of(3, 12, 1);
-  EXPECT_EQ(a, fab.path_of(0, 9, 5));
-  EXPECT_EQ(b, fab.path_of(3, 12, 1));
 }
 
 TEST(Topo, LinkMetadataPartitionsIdSpace) {

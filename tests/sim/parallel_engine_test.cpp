@@ -25,7 +25,7 @@ struct Harness {
   static constexpr Ps kLookahead = 100;
   static constexpr int kRounds = 50;
 
-  ParallelEngine par{2, kLookahead, transport()};
+  ParallelEngine par{2, std::vector<Ps>(2 * 2, kLookahead), transport()};
   std::vector<std::uint64_t> log[2];
   std::uint64_t next_key[2] = {0, 0};
 
@@ -120,7 +120,7 @@ TEST(ParallelEngine, MailboxOverflowDeliversEveryMessageInKeyOrder) {
       engine->shard(dst).schedule_cross(head, key,
                                         [&ran, key] { ran.push_back(key); });
     };
-    ParallelEngine par(2, 100, std::move(t));
+    ParallelEngine par(2, std::vector<Ps>(2 * 2, 100), std::move(t));
     engine = &par;
     par.shard(0).schedule_at(0, [&par] {
       for (std::uint64_t key = kSmall; key >= 1; --key) {
@@ -141,7 +141,7 @@ TEST(ParallelEngine, MailboxOverflowDeliversEveryMessageInKeyOrder) {
 }
 
 TEST(ParallelEngine, IdleGapsAreSkipped) {
-  ParallelEngine par(2, 10, {});
+  ParallelEngine par(2, std::vector<Ps>(2 * 2, 10), {});
   std::vector<Ps> fired;
   // Events ten million ps apart: window-by-window stepping would need ~1e6
   // windows; idle-skip must land one window per event cluster.
@@ -157,6 +157,19 @@ TEST(ParallelEngine, IdleGapsAreSkipped) {
   EXPECT_LE(r.windows, 5u);
 }
 
+// The soundness argument in sim/parallel.hpp relies on a metric-closed
+// lookahead matrix: the 0 -> 1 -> 2 relay (10 + 10) must tighten the
+// direct 100 ps bound in both directions, and adjacent pairs keep theirs.
+TEST(ParallelEngine, LookaheadMatrixIsMetricClosed) {
+  ParallelEngine par(3, {0, 10, 100, 10, 0, 10, 100, 10, 0}, {});
+  EXPECT_EQ(par.lookahead(0, 2), 20u);
+  EXPECT_EQ(par.lookahead(2, 0), 20u);
+  EXPECT_EQ(par.lookahead(0, 1), 10u);
+  EXPECT_EQ(par.lookahead(1, 0), 10u);
+  EXPECT_EQ(par.lookahead(1, 2), 10u);
+  EXPECT_EQ(par.lookahead(2, 1), 10u);
+}
+
 TEST(ParallelEngine, CrossBandOrdersAfterLocalEventsAtSameTime) {
   Engine eng;
   std::vector<int> order;
@@ -169,7 +182,7 @@ TEST(ParallelEngine, CrossBandOrdersAfterLocalEventsAtSameTime) {
 }
 
 TEST(ParallelEngine, SpawnedRootsAndPendingRootsAggregate) {
-  ParallelEngine par(3, 1000, {});
+  ParallelEngine par(3, std::vector<Ps>(3 * 3, 1000), {});
   // Atomic: the three roots live on different shards, so with 2 worker
   // threads two of them can retire this counter concurrently.
   std::atomic<int> done{0};

@@ -63,15 +63,6 @@ TEST(Semaphore, CountsAndBlocks) {
   EXPECT_EQ(eng.pending_roots(), 0);
 }
 
-TEST(Semaphore, TryAcquire) {
-  Engine eng;
-  Semaphore sem(eng, 1);
-  EXPECT_TRUE(sem.try_acquire());
-  EXPECT_FALSE(sem.try_acquire());
-  sem.release();
-  EXPECT_TRUE(sem.try_acquire());
-}
-
 TEST(Semaphore, ReleaseHandsTokenDirectlyToWaiter) {
   Engine eng;
   Semaphore sem(eng, 0);
@@ -86,61 +77,6 @@ TEST(Semaphore, ReleaseHandsTokenDirectlyToWaiter) {
   eng.run();
   EXPECT_TRUE(got);
   EXPECT_EQ(sem.available(), 0);  // token was consumed by the waiter
-}
-
-TEST(Gate, WaitBeforeAndAfterOpen) {
-  Engine eng;
-  Gate gate(eng);
-  int done = 0;
-  eng.spawn([](Gate& g, int& d) -> Task<void> {
-    co_await g.wait();
-    ++d;
-  }(gate, done));
-  eng.run();
-  EXPECT_EQ(done, 0);
-  gate.open();
-  eng.run();
-  EXPECT_EQ(done, 1);
-  // A late waiter passes straight through.
-  eng.spawn([](Gate& g, int& d) -> Task<void> {
-    co_await g.wait();
-    ++d;
-  }(gate, done));
-  eng.run();
-  EXPECT_EQ(done, 2);
-}
-
-TEST(JoinSet, JoinsAllSpawnedWork) {
-  Engine eng;
-  JoinSet js(eng);
-  int completed = 0;
-  for (int i = 1; i <= 3; ++i) {
-    js.spawn([](Engine& e, int& c, int ticks) -> Task<void> {
-      co_await e.delay(us(ticks));
-      ++c;
-    }(eng, completed, i));
-  }
-  Ps join_time = 0;
-  eng.spawn([](Engine& e, JoinSet& j, Ps& t) -> Task<void> {
-    co_await j.join();
-    t = e.now();
-  }(eng, js, join_time));
-  eng.run();
-  EXPECT_EQ(completed, 3);
-  EXPECT_EQ(join_time, us(3));
-  EXPECT_EQ(eng.pending_roots(), 0);
-}
-
-TEST(JoinSet, JoinWithNothingSpawnedReturnsImmediately) {
-  Engine eng;
-  JoinSet js(eng);
-  bool done = false;
-  eng.spawn([](JoinSet& j, bool& d) -> Task<void> {
-    co_await j.join();
-    d = true;
-  }(js, done));
-  eng.run();
-  EXPECT_TRUE(done);
 }
 
 }  // namespace
