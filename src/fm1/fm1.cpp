@@ -29,8 +29,7 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
     : fabric_(fabric),
       node_(node),
       cfg_(cfg),
-      n_hosts_(fabric.n_hosts()),
-      credit_cv_(node.host().engine()) {
+      n_hosts_(fabric.n_hosts()) {
   const int node_id = node_.id();
   const auto& nic = node_.nic().params();
   assert(nic.mtu_payload > sizeof(PacketHeader));

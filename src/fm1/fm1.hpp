@@ -23,7 +23,6 @@
 #include "common/fmwire.hpp"
 #include "myrinet/node.hpp"
 #include "sim/ring.hpp"
-#include "sim/sync.hpp"
 
 namespace fmx::fm1 {
 
@@ -89,20 +88,6 @@ class Endpoint {
     std::uint64_t credit_packets_sent = 0;
   };
   const Stats& stats() const noexcept { return stats_; }
-  int credits_available(int peer) const { return credits_[peer]; }
-
-  // --- Invariant-checker exposure (mirrors fm2::Endpoint) -----------------
-  /// Effective configuration after constructor defaulting.
-  const Config& config() const noexcept { return cfg_; }
-  /// Credits go back to a sender once this many of its slots were freed:
-  /// half of credits_per_peer, at least 1.
-  int credit_return_threshold() const noexcept {
-    return credit_return_threshold_;
-  }
-  /// Receive slots freed locally but not yet returned to `src` as credits.
-  int credits_pending_return(int src) const { return freed_[src]; }
-  /// Packets parked host-side while a blocked sender hunted for credits.
-  std::size_t parked_packets() const noexcept { return pending_.size(); }
 
  private:
   struct Partial {
@@ -137,7 +122,6 @@ class Endpoint {
   std::vector<std::uint32_t> next_msg_seq_;
   std::unordered_map<std::uint64_t, Partial> partials_;  // key: src<<32|seq
   sim::RingQueue<net::RxPacket> pending_;  // parked while hunting for credits
-  sim::CondVar credit_cv_;
   Stats stats_;
 };
 

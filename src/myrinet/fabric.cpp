@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <type_traits>
 
@@ -17,7 +16,6 @@ namespace {
 // the order key, and the payload length is the rest of the body; `ser` is
 // recomputed from it at the destination.
 struct CrossMsg {
-  std::uint64_t wire_seq;
   std::uint64_t trace_id;
   std::uint32_t crc;
   std::uint32_t link_seq;
@@ -33,10 +31,11 @@ struct CrossMsg {
   std::uint8_t pad[5];
 };
 static_assert(std::is_trivially_copyable_v<CrossMsg>);
+// Copied into a mailbox slot ahead of every cross-shard payload.
+static_assert(sizeof(CrossMsg) == 48);
 
 void encode(std::byte* out, const WirePacket& pkt) {
   CrossMsg m{};
-  m.wire_seq = pkt.wire_seq;
   m.trace_id = pkt.trace_id;
   m.crc = pkt.crc;
   m.link_seq = pkt.link_seq;
@@ -62,7 +61,6 @@ WirePacket decode(ByteSpan body, BufferPool& pool) {
   WirePacket pkt;
   pkt.src = m.src;
   pkt.dst = m.dst;
-  pkt.wire_seq = m.wire_seq;
   pkt.trace_id = m.trace_id;
   pkt.crc = m.crc;
   pkt.link_seq = m.link_seq;
@@ -85,8 +83,16 @@ WirePacket decode(ByteSpan body, BufferPool& pool) {
 
 }  // namespace
 
-Fabric::Fabric(sim::Engine& eng, const FabricParams& p, int n_hosts)
-    : eng_(eng), p_(p), n_hosts_(n_hosts), topo_(p, n_hosts) {
+Fabric::Fabric(sim::ParallelEngine& par, int shard,
+               const std::int32_t* shard_of_node, const FabricParams& p,
+               int n_hosts, std::size_t parked_hint)
+    : eng_(par.shard(shard)),
+      p_(p),
+      n_hosts_(n_hosts),
+      topo_(p, n_hosts),
+      par_(par),
+      shard_of_node_(shard_of_node),
+      my_shard_(shard) {
   assert(n_hosts >= 1);
   // One serial resource per directed link id. Uplinks and transit links
   // cost flight plus the routing decision at the switch they enter; the
@@ -99,6 +105,12 @@ Fabric::Fabric(sim::Engine& eng, const FabricParams& p, int n_hosts)
     links_.push_back(std::make_unique<Link>(eng_, lat));
   }
   endpoints_.resize(n_hosts);
+  // Park slots recycle through free_parked_, so the vector only grows to
+  // the peak number of remote arrivals simultaneously awaiting delivery.
+  // Pay that growth here rather than mid-run: a deep-credit streaming pair
+  // can push the peak past whatever a short warmup happened to reach.
+  parked_.reserve(parked_hint);
+  free_parked_.reserve(parked_hint);
 }
 
 void Fabric::attach(int host, sim::Channel<WirePacket>* wire_in,
@@ -126,18 +138,18 @@ sim::Ps Fabric::zero_load_latency(int src, int dst,
   return lat + ser;  // cut-through: one serialization end to end
 }
 
-void Fabric::maybe_corrupt(WirePacket& pkt) {
-  if (p_.bit_error_rate <= 0.0 || pkt.payload.empty()) return;
-  double bits = 8.0 * static_cast<double>(wire_bytes(pkt.payload.size()));
-  double p_bad = 1.0 - std::pow(1.0 - p_.bit_error_rate, bits);
-  if (rng_.uniform_real() < p_bad) {
-    std::size_t pos = rng_.uniform(0, pkt.payload.size() - 1);
-    std::size_t bit = rng_.uniform(0, 7);
-    // Copy-on-write: if the block is shared (NIC retention, a duplicate in
-    // flight), only this packet's view diverges; siblings keep clean bytes.
-    pkt.payload.mutable_bytes()[pos] ^= static_cast<std::byte>(1u << bit);
-    ++stats_.corrupted;
+Fabric::Walk Fabric::walk(const WirePacket& pkt, int first, int last,
+                          sim::Ps head, sim::Ps ser) {
+  // Link ids come straight out of the topology's route tables — O(1) per
+  // hop, no shared path buffer, so interleaved walks can never alias.
+  Walk w{head, head};
+  for (int i = first; i < last; ++i) {
+    Link* l = links_[topo_.link_at(pkt.src, pkt.dst, pkt.flow, i)].get();
+    const sim::Ps tail_done = l->ser.reserve_from(w.head, ser);
+    w.head = (tail_done - ser) + l->latency;
+    if (i == first) w.first_done = tail_done;
   }
+  return w;
 }
 
 sim::Task<void> Fabric::deliver(WirePacket pkt, sim::Ps at) {
@@ -146,9 +158,9 @@ sim::Task<void> Fabric::deliver(WirePacket pkt, sim::Ps at) {
 }
 
 // Everything that happens once the packet's tail reaches the destination:
-// fault hooks, bit errors, tracing, and the hand-off into the NIC's wire
-// buffer. Shared by the serial path (deliver) and the cross-shard path
-// (deliver_remote) so fault semantics are identical in both modes.
+// fault hooks, tracing, and the hand-off into the NIC's wire buffer. Shared
+// by the same-shard path (deliver) and the cross-shard path
+// (deliver_remote) so fault semantics are identical in both.
 sim::Task<void> Fabric::deliver_body(WirePacket pkt) {
   if (fault_ != nullptr) {
     WireFault f = fault_->on_deliver(pkt);
@@ -158,6 +170,8 @@ sim::Task<void> Fabric::deliver_body(WirePacket pkt) {
       co_await eng_.delay(f.extra_delay);
     }
     if (f.corrupt && !pkt.payload.empty()) {
+      // Copy-on-write: if the block is shared (NIC retention, a duplicate
+      // in flight), only this packet's view diverges.
       pkt.payload.mutable_bytes()[f.corrupt_pos % pkt.payload.size()] ^=
           static_cast<std::byte>(1u << (f.corrupt_bit & 7));
       ++stats_.corrupted;
@@ -174,11 +188,7 @@ sim::Task<void> Fabric::deliver_body(WirePacket pkt) {
     }
     if (f.duplicate) {
       ++stats_.duplicated;
-      // Duplicate of the uncorrupted original — a pure reference share,
-      // taken before maybe_corrupt so a bit error on the primary COWs away
-      // from the duplicate's clean view.
-      WirePacket copy = pkt;
-      maybe_corrupt(pkt);
+      WirePacket copy = pkt;  // a pure reference share
       auto& ep = endpoints_[pkt.dst];
       assert(ep.wire_in && "destination NIC not attached");
       tracer_.record(trace::EventType::kDeliver, trace::Layer::kFabric,
@@ -188,7 +198,6 @@ sim::Task<void> Fabric::deliver_body(WirePacket pkt) {
       co_return;
     }
   }
-  maybe_corrupt(pkt);
   auto& ep = endpoints_[pkt.dst];
   assert(ep.wire_in && "destination NIC not attached");
   tracer_.record(trace::EventType::kDeliver, trace::Layer::kFabric, pkt.dst,
@@ -210,50 +219,19 @@ sim::Task<void> Fabric::transmit(WirePacket pkt) {
   assert(pkt.src >= 0 && pkt.src < n_hosts_);
   assert(pkt.dst >= 0 && pkt.dst < n_hosts_);
 
-  pkt.wire_seq = next_seq_++;
   ++stats_.packets;
   stats_.payload_bytes += pkt.payload.size();
 
-  if (par_ != nullptr && shard_of_node_[pkt.dst] != my_shard_) {
-    // Destination owned by a peer shard. Reserve every source-side link
-    // (all but the destination's downlink, which its own replica arbitrates)
-    // and post the packet with its head-arrival time; the receiving
-    // replica finishes the cut-through there, including the SRAM slack
-    // acquisition — back-pressure is exerted at the last hop, where the
-    // receiving NIC's STOP/GO signal physically lives.
-    tracer_.record(trace::EventType::kWireHop, trace::Layer::kFabric, pkt.src,
-                   pkt.trace_id,
-                   static_cast<std::uint64_t>(hops(pkt.src, pkt.dst)));
-    const sim::Ps ser = ser_time(pkt);
-    const int len = topo_.path_len(pkt.src, pkt.dst);
-    sim::Ps head = eng_.now();
-    sim::Ps tail_done = eng_.now();
-    sim::Ps uplink_done = 0;
-    for (int i = 0; i + 1 < len; ++i) {
-      Link* l = links_[topo_.link_at(pkt.src, pkt.dst, pkt.flow, i)].get();
-      tail_done = l->ser.reserve_from(head, ser);
-      head = (tail_done - ser) + l->latency;
-      if (i == 0) uplink_done = tail_done;
-    }
-    // 60-bit keys: node id (16 bits) above a 44-bit per-shard counter.
-    // Assigned in shard-local program order, so the key sequence is
-    // independent of thread count.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(pkt.src) << 44) | cross_ctr_++;
-    assert((cross_ctr_ >> 44) == 0 && "cross counter overflow");
-    par_->post(my_shard_, shard_of_node_[pkt.dst], head, key,
-               sizeof(CrossMsg) + pkt.payload.size(),
-               [&pkt](std::byte* out) { encode(out, pkt); });
-    pkt.payload.reset();
-    co_await eng_.sleep_until(uplink_done);
-    co_return;
+  // Back-pressure for a destination on this shard: no injection until its
+  // NIC has SRAM for the packet. A peer shard's destination exerts it at
+  // the last hop instead (deliver_remote), where the receiving NIC's
+  // STOP/GO signal physically lives.
+  const int dst_shard = shard_of_node_[pkt.dst];
+  const bool local = dst_shard == my_shard_;
+  if (local) {
+    assert(endpoints_[pkt.dst].slack && "destination NIC not attached");
+    co_await endpoints_[pkt.dst].slack->acquire();
   }
-
-  auto& ep = endpoints_[pkt.dst];
-  assert(ep.slack && "destination NIC not attached");
-
-  // Back-pressure: no injection until the destination NIC has SRAM for it.
-  co_await ep.slack->acquire();
 
   tracer_.record(trace::EventType::kWireHop, trace::Layer::kFabric, pkt.src,
                  pkt.trace_id,
@@ -264,50 +242,31 @@ sim::Task<void> Fabric::transmit(WirePacket pkt) {
     co_return;
   }
 
+  // Reserve every link this replica arbitrates: the whole path, or all but
+  // the destination's downlink, which the destination's replica owns.
   const sim::Ps ser = ser_time(pkt);
   const int len = topo_.path_len(pkt.src, pkt.dst);
-
-  // Cut-through reservation: on each link, start when the head arrives and
-  // the link is free; the head moves on after the link's latency. Link ids
-  // come straight out of the topology's route tables — O(1) per hop, no
-  // shared path buffer, so interleaved transmits can never alias.
-  sim::Ps head = eng_.now();
-  sim::Ps tail_done = eng_.now();
-  sim::Ps uplink_done = 0;
-  sim::Ps last_latency = 0;
-  for (int i = 0; i < len; ++i) {
-    Link* l = links_[topo_.link_at(pkt.src, pkt.dst, pkt.flow, i)].get();
-    tail_done = l->ser.reserve_from(head, ser);
-    head = (tail_done - ser) + l->latency;
-    if (i == 0) uplink_done = tail_done;
-    last_latency = l->latency;
+  const Walk w = walk(pkt, 0, local ? len : len - 1, eng_.now(), ser);
+  if (local) {
+    eng_.spawn_daemon(deliver(std::move(pkt), w.head + ser));
+  } else {
+    // Post the packet with its head-arrival time. 60-bit keys: node id (16
+    // bits) above a 44-bit per-shard counter, assigned in shard-local
+    // program order, so the key sequence is independent of thread count.
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(pkt.src) << 44) | cross_ctr_++;
+    assert((cross_ctr_ >> 44) == 0 && "cross counter overflow");
+    par_.post(my_shard_, dst_shard, w.head, key,
+              sizeof(CrossMsg) + pkt.payload.size(),
+              [&pkt](std::byte* out) { encode(out, pkt); });
+    pkt.payload.reset();
   }
-  sim::Ps arrival = tail_done + last_latency;
-
-  eng_.spawn_daemon(deliver(std::move(pkt), arrival));
   // The sender NIC is occupied until its uplink finishes serializing.
-  co_await eng_.sleep_until(uplink_done);
+  co_await eng_.sleep_until(w.first_done);
 }
 
 // ---------------------------------------------------------------------------
-// Parallel (sharded) execution
-
-void Fabric::set_parallel(sim::ParallelEngine* par,
-                          const std::int32_t* shard_of_node, int my_shard,
-                          std::size_t parked_hint) {
-  par_ = par;
-  shard_of_node_ = shard_of_node;
-  my_shard_ = my_shard;
-  // Park slots recycle through free_parked_, so the vector only grows to
-  // the peak number of remote arrivals simultaneously awaiting delivery.
-  // Pay that growth here rather than mid-run: a deep-credit streaming pair
-  // can push the peak past whatever a short warmup happened to reach.
-  parked_.reserve(parked_hint);
-  free_parked_.reserve(parked_hint);
-  // Namespace wire sequence numbers by shard so they stay cluster-unique
-  // (they are debug/trace metadata; 48 bits of local counter is plenty).
-  next_seq_ = static_cast<std::uint64_t>(my_shard) << 48;
-}
+// Cross-shard arrivals
 
 void Fabric::accept_remote(sim::Ps head_arrival, std::uint64_t cross_key,
                            ByteSpan body) {
@@ -340,9 +299,8 @@ void Fabric::launch_remote(std::uint32_t idx) {
 // back-pressure, and deliver when the tail has propagated.
 sim::Task<void> Fabric::deliver_remote(WirePacket pkt, sim::Ps head) {
   const sim::Ps ser = ser_time(pkt);
-  Link* dn = links_[topo_.downlink(pkt.dst)].get();
-  const sim::Ps tail_done = dn->ser.reserve_from(head, ser);
-  const sim::Ps arrival = tail_done + dn->latency;
+  const int len = topo_.path_len(pkt.src, pkt.dst);
+  const sim::Ps arrival = walk(pkt, len - 1, len, head, ser).head + ser;
   auto& ep = endpoints_[pkt.dst];
   assert(ep.slack && "destination NIC not attached");
   co_await ep.slack->acquire();

@@ -3,15 +3,22 @@
 // crossbars or a k-ary fat-tree/Clos with ECMP multipath — lives in
 // myrinet/topo.hpp; the Fabric holds one FIFO serial resource per directed
 // link id and walks the topology's precomputed route tables at transmit
-// time (O(1) per hop, no shared scratch path).
+// time (O(1) per hop, no shared scratch path). It keeps link state only:
+// wire faults come through the FaultInjector seam.
 //
 // Modeling approach: each directed link is a FIFO serial resource. A packet
-// reserves every link on its path at injection time; on link i it may start
-// no earlier than its head could have arrived from link i-1 (cut-through
-// pipelining), and no earlier than the link is free (contention). Back-
-// pressure is a slack-token semaphore per destination NIC: a sender cannot
-// inject until the receiving NIC has inbound SRAM to hold the packet —
-// the discrete-event equivalent of Myrinet's STOP/GO link flow control.
+// reserves the links on its path in one cut-through walk: on link i it may
+// start no earlier than its head could have arrived from link i-1 (cut-
+// through pipelining), and no earlier than the link is free (contention).
+// Back-pressure is a slack-token semaphore per destination NIC: a packet
+// cannot leave the fabric until the receiving NIC has inbound SRAM to hold
+// it — the discrete-event equivalent of Myrinet's STOP/GO link flow control.
+//
+// A Fabric is one shard's replica (myrinet/parallel_cluster.hpp). A packet
+// to a node of its own shard waits for slack, then walks its whole path; a
+// packet to another shard's node walks every link but the downlink and is
+// posted to that shard's replica, which walks the downlink and waits for
+// slack there.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +32,6 @@
 #include "myrinet/topo.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
-#include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/sync.hpp"
 #include "trace/trace.hpp"
@@ -38,7 +44,15 @@ namespace fmx::net {
 
 class Fabric {
  public:
-  Fabric(sim::Engine& eng, const FabricParams& p, int n_hosts);
+  /// Shard `shard`'s replica, running on `par.shard(shard)`.
+  /// `shard_of_node` maps node id -> owning shard (must outlive the
+  /// fabric); packets to another shard's nodes are posted to `par`.
+  /// `parked_hint` pre-sizes the remote-arrival parking lot: the cluster
+  /// passes its per-shard drain peak so a deep mailbox batch never grows
+  /// the vector mid-measurement.
+  Fabric(sim::ParallelEngine& par, int shard,
+         const std::int32_t* shard_of_node, const FabricParams& p,
+         int n_hosts, std::size_t parked_hint);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -77,17 +91,17 @@ class Fabric {
   /// outlive all traffic; it is consulted at every packet's delivery point.
   void set_fault(FaultInjector* f) noexcept { fault_ = f; }
 
-  /// Shared packet-buffer pool for everything attached to this fabric (NICs
-  /// and the messaging layers above them). One pool per cluster means a
-  /// buffer freed by a receiver is immediately reusable by any sender.
+  /// Shared packet-buffer pool for everything attached to this replica
+  /// (NICs and the messaging layers above them): a buffer freed by a
+  /// receiver is immediately reusable by any sender on the shard.
   BufferPool& pool() noexcept { return pool_; }
 
-  /// Cluster-wide tracer. Disabled by default (a single branch per hook);
-  /// every layer attached to this fabric records through it.
+  /// The shard's tracer. Disabled by default (a single branch per hook);
+  /// every layer attached to this replica records through it.
   trace::Tracer& tracer() noexcept { return tracer_; }
   const trace::Tracer& tracer() const noexcept { return tracer_; }
 
-  // --- Parallel (sharded) execution --------------------------------------
+  // --- Cross-shard traffic ------------------------------------------------
   /// Minimum simulated time any packet needs to cross between shards: every
   /// cross-shard path starts with the source's uplink, whose propagation is
   /// link latency + the first switch's routing decision. This is the
@@ -106,17 +120,6 @@ class Fabric {
   sim::Ps uplink_free(int host) const noexcept {
     return links_[topo_.uplink(host)]->ser.next_free();
   }
-
-  /// Make this fabric shard `my_shard`'s replica of the cluster fabric.
-  /// `shard_of_node` maps node id -> owning shard (must outlive the
-  /// fabric); packets to non-local destinations are posted to `par`, and
-  /// wire_seq values are namespaced by shard so they stay cluster-unique.
-  /// `parked_hint` pre-sizes the remote-arrival parking lot: the cluster
-  /// passes its per-shard drain peak so a deep mailbox batch never grows
-  /// the vector mid-measurement.
-  void set_parallel(sim::ParallelEngine* par,
-                    const std::int32_t* shard_of_node, int my_shard,
-                    std::size_t parked_hint);
 
   /// Entry point for a packet a peer shard's replica posted: decodes the
   /// mailbox body and schedules its delivery (downlink reservation,
@@ -141,7 +144,16 @@ class Fabric {
   sim::Task<void> deliver_remote(WirePacket pkt, sim::Ps head);
   sim::Task<void> deliver_duplicate(WirePacket pkt);
   void launch_remote(std::uint32_t idx);
-  void maybe_corrupt(WirePacket& pkt);
+  struct Walk {
+    sim::Ps head;        ///< head time past the last link (tail: + ser)
+    sim::Ps first_done;  ///< when the first link finishes serializing
+  };
+  /// Cut-through reservation of links [first, last) of pkt's path, the
+  /// head reaching link `first` at `head`: on each link the packet starts
+  /// when its head arrives and the link is free, and the head moves on
+  /// after the link's latency.
+  Walk walk(const WirePacket& pkt, int first, int last, sim::Ps head,
+            sim::Ps ser);
   sim::Ps ser_time(const WirePacket& pkt) const noexcept {
     std::size_t b = wire_bytes(pkt.payload.size());
     // Remote-write packets carry the rkey/offset header on the real wire.
@@ -160,17 +172,15 @@ class Fabric {
   FaultInjector* fault_ = nullptr;
   trace::Tracer tracer_{eng_};
   Stats stats_;
-  std::uint64_t next_seq_ = 0;
-  sim::Rng rng_{0x9E3779B97F4A7C15ull};
 
-  // Parallel-mode state (null/unused in serial runs).
+  // Cross-shard state.
   struct Parked {
     WirePacket pkt;
     sim::Ps head = 0;
   };
-  sim::ParallelEngine* par_ = nullptr;
-  const std::int32_t* shard_of_node_ = nullptr;
-  int my_shard_ = 0;
+  sim::ParallelEngine& par_;
+  const std::int32_t* shard_of_node_;
+  int my_shard_;
   std::uint64_t cross_ctr_ = 0;  // cross-shard keys issued by this shard
   std::vector<Parked> parked_;  // remote arrivals awaiting their event
   std::vector<std::uint32_t> free_parked_;

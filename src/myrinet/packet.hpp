@@ -42,7 +42,6 @@ struct WirePacket {
 
   int src = -1;
   int dst = -1;
-  std::uint64_t wire_seq = 0;  ///< per-fabric sequence (debug/tracing)
   BufferRef payload;
   std::uint32_t crc = 0;
 
@@ -86,7 +85,7 @@ struct WirePacket {
 };
 // Hot structs, moved by value through channels once or more per packet: a
 // field that grows one must edit its number on purpose.
-static_assert(sizeof(WirePacket) == 72);
+static_assert(sizeof(WirePacket) == 64);
 
 /// A packet as it appears in the host receive region after NIC DMA.
 struct RxPacket {

@@ -1,7 +1,6 @@
 #include "myrinet/parallel_cluster.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -121,7 +120,18 @@ ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
             .emission_bound =
                 [this](int s, sim::Ps e, sim::Ps* out) {
                   emission_bound(s, e, out);
-                }}) {
+                },
+            // Minimum reaction time of a shard to an inbound packet: every
+            // causal response flows through Nic::rx_wire_program, which
+            // charges per_packet_rx before anything downstream can observe
+            // the packet. In clean mode the response emission additionally
+            // pays a fresh tx_inject per_packet_tx; with reliable links an
+            // arriving ack can release a window-blocked sender in the same
+            // timestamp as its rx processing, so only the rx term is safe
+            // there.
+            .reaction_gap =
+                p.nic.per_packet_rx +
+                (p.nic.reliable_link ? sim::Ps{0} : p.nic.per_packet_tx)}) {
   // Host range [shard_begin_[s], shard_begin_[s+1]) owned by shard s.
   shard_begin_.assign(n_shards_ + 1, p.n_hosts);
   for (int i = p.n_hosts - 1; i >= 0; --i) shard_begin_[shard_of_[i]] = i;
@@ -140,19 +150,8 @@ ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
   fabrics_.reserve(n_shards_);
   for (int s = 0; s < n_shards_; ++s) {
     par_.shard(s).reserve_events(drain_peak);
-    fabrics_.push_back(
-        std::make_unique<Fabric>(par_.shard(s), p.fabric, p.n_hosts));
-    fabrics_[s]->set_parallel(&par_, shard_of_.data(), s, drain_peak);
-    // Minimum reaction time of a shard to an inbound packet: every causal
-    // response flows through Nic::rx_wire_program, which charges
-    // per_packet_rx before anything downstream can observe the packet. In
-    // clean mode the response emission additionally pays a fresh
-    // tx_inject per_packet_tx; with reliable links an arriving ack can
-    // release a window-blocked sender in the same timestamp as its rx
-    // processing, so only the rx term is safe there.
-    par_.set_reaction_gap(
-        s, p.nic.per_packet_rx +
-               (p.nic.reliable_link ? sim::Ps{0} : p.nic.per_packet_tx));
+    fabrics_.push_back(std::make_unique<Fabric>(
+        par_, s, shard_of_.data(), p.fabric, p.n_hosts, drain_peak));
   }
 
   nodes_.reserve(p.n_hosts);
@@ -222,21 +221,6 @@ void ParallelCluster::emission_bound(int shard, sim::Ps e,
       if (v < out[d]) out[d] = v;
     }
   }
-}
-
-ParallelCluster::RunResult ParallelCluster::run(int n_threads) {
-  if (n_threads <= 0) {
-    n_threads = env_threads();
-    if (n_threads <= 0) n_threads = 1;
-  }
-  return par_.run(n_threads);
-}
-
-int ParallelCluster::env_threads() {
-  const char* v = std::getenv("FMX_THREADS");
-  if (v == nullptr) return 0;
-  const int n = std::atoi(v);
-  return n > 0 ? n : 0;
 }
 
 void ParallelCluster::enable_tracing(std::size_t capacity_events) {

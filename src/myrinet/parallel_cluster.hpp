@@ -3,8 +3,8 @@
 // Partitioning: each shard owns a contiguous range of nodes (host + I/O bus
 // + NIC — all of a node's events stay on its shard) plus its own replica of
 // the switch fabric. A replica carries the full link topology, but only the
-// links a shard arbitrates matter: a packet to a local destination runs the
-// ordinary serial path; a packet to a remote destination reserves its
+// links a shard arbitrates matter: a packet to a local destination reserves
+// its whole path here; a packet to a remote destination reserves its
 // source-side links here, then Fabric::transmit posts it to the
 // destination shard's engine mailbox with its head-arrival time and a
 // deterministic order key (source node, per-source-shard counter). The
@@ -12,8 +12,8 @@
 // back-pressure and fault hooks, and delivers — so per-packet semantics
 // are identical at every thread count.
 //
-// Each shard also gets its own buffer pool, tracer, RNG, and (optionally)
-// fault injector, so no mutable state is shared between shards; workers
+// Each shard also gets its own buffer pool, tracer and (optionally) fault
+// injector, so no mutable state is shared between shards; workers
 // meet only through published horizons and the engine's mailboxes.
 // Per-shard traces merge deterministically via trace::merge_streams.
 //
@@ -88,12 +88,9 @@ class ParallelCluster {
   }
 
   using RunResult = sim::ParallelEngine::RunResult;
-  /// Run to global quiescence. `n_threads` 0 means: $FMX_THREADS if set,
-  /// else 1. Results are identical for every thread count.
-  RunResult run(int n_threads = 0);
-
-  /// Thread count requested via $FMX_THREADS (0 if unset/invalid).
-  static int env_threads();
+  /// Run to global quiescence on `n_threads` workers (clamped to
+  /// [1, n_shards]). Results are identical for every thread count.
+  RunResult run(int n_threads = 1) { return par_.run(n_threads); }
 
   /// Enable tracing on every shard's tracer (per-shard capacity).
   void enable_tracing(std::size_t capacity_events = 1 << 18);

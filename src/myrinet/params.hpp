@@ -110,7 +110,6 @@ struct FabricParams {
   /// eager/data packets are byte-identical with or without the RDMA path.
   std::size_t rdma_hdr_bytes = 16;
   int hosts_per_switch = 8;           ///< larger clusters chain switches
-  double bit_error_rate = 0.0;        ///< per-bit corruption probability
 
   TopologyKind topology = TopologyKind::kChain;
   /// Fat-tree switch radix k (even): k pods, k/2 edge + k/2 aggregation

@@ -88,7 +88,6 @@ class Channel {
   std::size_t size() const noexcept { return buf_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
   bool empty() const noexcept { return buf_.empty(); }
-  bool full() const noexcept { return buf_.size() >= capacity_; }
 
  private:
   /// An element arrived: wake one popper if any is asleep (it will consume

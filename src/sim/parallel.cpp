@@ -89,7 +89,6 @@ ParallelEngine::ParallelEngine(int n_shards, std::vector<Ps> lookahead,
     covered_[i].store(0, std::memory_order_relaxed);
   }
   scratch_.assign(k, std::vector<Ps>(k, 0));
-  reaction_gap_.assign(k, 0);
   out_.assign(k * k, PairOut{});
   staged_.assign(k * k, 0);
   live_cap_.resize(k);
@@ -144,9 +143,9 @@ void ParallelEngine::note_emission(int src, int dst, Ps head) {
   o.max_idx = o.pushed;
   // Shorten the quantum in progress: the destination may drain this
   // message and reply, and the reply must not land below our clock. The
-  // reply is itself a reaction, so the destination's reaction gap applies.
+  // reply is itself a reaction, so the reaction gap applies.
   const Ps echo =
-      sat_add(sat_add(head, reaction_gap_[dst]), lookahead(dst, src));
+      sat_add(sat_add(head, transport_.reaction_gap), lookahead(dst, src));
   if (echo < live_cap_[src].v) live_cap_[src].v = echo;
 }
 
@@ -206,7 +205,7 @@ void ParallelEngine::publish(int s, int w, bool* changed) {
   }
   // Fold open in-flight buckets as relay terms: a message already emitted
   // to B can wake an otherwise-idle B into emitting toward d no earlier
-  // than the message's head + B's reaction gap + L[B][d] (any causal chain
+  // than the message's head + the reaction gap + L[B][d] (any causal chain
   // through further shards only adds more gap, and the closed L already
   // bounds the pure propagation). The direct destination B itself is
   // excluded — the drain-before-run / commit-before-republish protocol
@@ -216,7 +215,7 @@ void ParallelEngine::publish(int s, int w, bool* changed) {
   for (int b = 0; b < k; ++b) {
     if (b == s || !buckets[b].open) continue;
     const Ps* row_b = &lookahead_[static_cast<std::size_t>(b) * k];
-    const Ps rh = sat_add(buckets[b].min_head, reaction_gap_[b]);
+    const Ps rh = sat_add(buckets[b].min_head, transport_.reaction_gap);
     for (int d = 0; d < k; ++d) {
       if (d == s || d == b) continue;
       const Ps v = sat_add(rh, row_b[d]);
@@ -275,8 +274,9 @@ bool ParallelEngine::advance(int s, int w, std::uint64_t& events,
   // ourselves.
   for (int b = 0; b < k; ++b) {
     if (b != s && buckets[b].open) {
-      const Ps echo = sat_add(sat_add(buckets[b].min_head, reaction_gap_[b]),
-                              lookahead(b, s));
+      const Ps echo =
+          sat_add(sat_add(buckets[b].min_head, transport_.reaction_gap),
+                  lookahead(b, s));
       if (echo < bound) bound = echo;
     }
   }

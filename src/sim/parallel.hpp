@@ -108,6 +108,17 @@ class ParallelEngine {
     /// base + closed per-pair latency)`). Runs on the shard's owning
     /// worker only.
     std::function<void(int shard, Ps e, Ps* out)> emission_bound;
+    /// Lower bound on how long any shard takes to *react* to an inbound
+    /// cross-shard message with a cross-shard emission of its own (for
+    /// the Myrinet cluster: receive-side per-packet processing, plus a
+    /// fresh injection's per-packet tx time when the link needs no
+    /// same-timestamp ack release). Folded into relay and self-echo
+    /// terms: a message in flight toward B caps horizons at head + gap +
+    /// L[B][d] instead of head + L[B][d]. 0 means a relay may react
+    /// instantly. A gap that overstates the true minimum reaction time
+    /// breaks the soundness induction exactly like an inflated lookahead
+    /// would.
+    Ps reaction_gap = 0;
   };
 
   /// Ring slots per ordered shard pair, and bytes per slot with the
@@ -153,18 +164,6 @@ class ParallelEngine {
     post_bytes(src, dst, head, key, bytes, &fill,
                [](void* f, std::byte* out) { (*static_cast<Fill*>(f))(out); });
   }
-
-  /// Declare a lower bound on how long `shard` takes to *react* to an
-  /// inbound cross-shard message with a cross-shard emission of its own
-  /// (for the Myrinet cluster: receive-side per-packet processing, plus a
-  /// fresh injection's per-packet tx time when the link needs no
-  /// same-timestamp ack release). Folded into relay and self-echo terms: a
-  /// message in flight toward B caps horizons at head + gap(B) + L[B][d]
-  /// instead of head + L[B][d]. Default 0 (a relay may react instantly).
-  /// Must be called before run(); a gap that overstates the true minimum
-  /// reaction time breaks the soundness induction exactly like an inflated
-  /// lookahead would.
-  void set_reaction_gap(int shard, Ps gap) { reaction_gap_[shard] = gap; }
 
   struct RunResult {
     std::uint64_t events = 0;  ///< events processed across all shards
@@ -228,7 +227,6 @@ class ParallelEngine {
   void stop_pool();
 
   std::vector<Ps> lookahead_;  // metric-closed, row-major k*k
-  std::vector<Ps> reaction_gap_;  // per-shard, see set_reaction_gap
   std::vector<std::unique_ptr<Engine>> shards_;
   Transport transport_;
   std::vector<std::unique_ptr<Mailbox>> mail_;  // [src * k + dst], no diagonal

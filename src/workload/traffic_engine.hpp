@@ -127,7 +127,7 @@ class TrafficEngine {
 
   /// Replay `s` to quiescence on `n_threads` workers. Results (digest,
   /// makespan, quantiles) are bit-identical for every thread count.
-  WaveResult run_wave(const Schedule& s, int n_threads = 0);
+  WaveResult run_wave(const Schedule& s, int n_threads = 1);
 
   /// Split form for benches that meter the spawn+run phase (e.g. alloc
   /// counting): spawn_wave() resets per-flow state and spawns all roots,

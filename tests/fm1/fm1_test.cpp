@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "myrinet/parallel_cluster.hpp"
+#include "sim/random.hpp"
 
 namespace fmx::fm1 {
 namespace {

@@ -6,9 +6,11 @@
 #include <memory>
 #include <ostream>
 
+#include "fault/injector.hpp"
 #include "fm1/fm1.hpp"
 #include "fm2/fm2.hpp"
 #include "myrinet/parallel_cluster.hpp"
+#include "sim/random.hpp"
 
 namespace fmx::fm2 {
 namespace {
@@ -19,6 +21,7 @@ using sim::Task;
 struct PlatformCase {
   const char* name;
   net::ClusterParams (*make)();
+  double wire_corrupt = 0.0;  ///< per-packet corruption rate on the wire
 };
 
 // gtest puts the printed parameter into each listed test name. The default
@@ -38,9 +41,8 @@ net::ClusterParams odd_platform() {
 
 net::ClusterParams sparc_platform() { return net::sparc_fm1_cluster(2); }
 net::ClusterParams ppro_platform() { return net::ppro_fm2_cluster(2); }
-net::ClusterParams reliable_lossy_platform() {
+net::ClusterParams reliable_platform() {
   auto p = net::ppro_fm2_cluster(2);
-  p.fabric.bit_error_rate = 3e-5;
   p.nic.reliable_link = true;
   return p;
 }
@@ -50,6 +52,12 @@ class Fm2PlatformSweep : public ::testing::TestWithParam<PlatformCase> {};
 TEST_P(Fm2PlatformSweep, MixedTrafficIntegrity) {
   net::ParallelCluster cl(GetParam().make(), 1);
   Engine& eng = cl.shard_engine(0);
+  std::vector<std::unique_ptr<fault::PlanInjector>> injectors;
+  if (GetParam().wire_corrupt > 0) {
+    fault::FaultPlan plan = fault::FaultPlan::clean();
+    plan.wire.corrupt = GetParam().wire_corrupt;
+    injectors = fault::arm(cl, plan);
+  }
   Endpoint tx(cl.node(0), cl.fabric_of(0));
   Endpoint rx(cl.node(1), cl.fabric_of(1));
   constexpr int kMsgs = 25;
@@ -83,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PlatformCase{"sparc", sparc_platform},
                       PlatformCase{"ppro", ppro_platform},
                       PlatformCase{"odd", odd_platform},
-                      PlatformCase{"lossy_reliable",
-                                   reliable_lossy_platform}),
+                      PlatformCase{"lossy_reliable", reliable_platform,
+                                   0.2}),
     [](const auto& pinfo) { return pinfo.param.name; });
 
 TEST(Fm2Limits, MessageBeyond16BitPacketIndexThrows) {

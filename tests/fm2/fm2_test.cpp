@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "myrinet/parallel_cluster.hpp"
+#include "sim/random.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::fm2 {

@@ -72,8 +72,10 @@ Task<void> await_leaves(sim::Engine& eng, net::Host& host, net::IoBus& bus,
 
 TEST(FrameCount, LeafWaitsAllocateNoFrame) {
   const net::ClusterParams p = net::ppro_fm2_cluster(2);
-  sim::Engine eng;
-  net::Fabric fabric(eng, p.fabric, p.n_hosts);
+  sim::ParallelEngine par(1, {0}, {});
+  sim::Engine& eng = par.shard(0);
+  const std::int32_t shard_of[2] = {0, 0};
+  net::Fabric fabric(par, 0, shard_of, p.fabric, p.n_hosts, 0);
   net::Host host(eng, 0, p.host);
   net::IoBus bus(eng, p.bus);
   sim::SerialResource res(eng);

@@ -11,6 +11,7 @@
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
 #include "myrinet/parallel_cluster.hpp"
+#include "sim/random.hpp"
 
 namespace fmx::mpi {
 namespace {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/injector.hpp"
 #include "myrinet/parallel_cluster.hpp"
 #include "sim/sync.hpp"
+#include "tests/common/sim_fixture.hpp"
 
 namespace fmx::net {
 namespace {
@@ -14,6 +16,14 @@ using sim::Task;
 ClusterParams tiny(int n = 2) {
   ClusterParams p = ppro_fm2_cluster(n);
   return p;
+}
+
+// Flip one payload bit in `rate` of the delivered packets.
+std::vector<std::unique_ptr<fault::PlanInjector>> corrupt_wire(
+    ParallelCluster& cl, double rate) {
+  fault::FaultPlan plan = fault::FaultPlan::clean();
+  plan.wire.corrupt = rate;
+  return fault::arm(cl, plan);
 }
 
 // Drives the fabric directly through NICs (no FM layer yet).
@@ -88,6 +98,42 @@ TEST(Fabric, LatencyMatchesZeroLoadModel) {
   EXPECT_EQ(arrival, expect);
 }
 
+// Across a shard boundary the source replica walks every link but the
+// downlink and the destination replica walks the downlink; together they
+// must cost exactly the one cut-through walk of the zero-load model.
+TEST(Fabric, CrossShardLatencyMatchesZeroLoadModel) {
+  struct Case {
+    ClusterParams p;
+    int src;
+    int dst;
+  };
+  const Case cases[] = {
+      {ppro_fm2_cluster(16), 0, 12},  // two chained switches apart
+      {fat_tree_cluster(64), 0, 63},  // across pods of a fat-tree
+  };
+  for (const Case& c : cases) {
+    for (int shards : {1, 2}) {
+      ParallelCluster cl(c.p, shards);
+      sim::Ps arrival = 0;
+      cl.spawn_on(c.src, [](Nic& nic, int dst) -> Task<void> {
+        co_await nic.enqueue(SendDescriptor{
+            dst, BufferRef::copy_of(ByteSpan{Bytes(64)}), true});
+      }(cl.node(c.src).nic(), c.dst));
+      cl.spawn_on(c.dst, [](Nic& nic, sim::Ps& t) -> Task<void> {
+        RxPacket pk = co_await nic.host_ring().pop();
+        t = pk.arrived;
+      }(cl.node(c.dst).nic(), arrival));
+      ASSERT_TRUE(fmx::test::run_to_exhaustion(cl));
+      const sim::Ps wire =
+          cl.fabric_of(c.src).zero_load_latency(c.src, c.dst, 64);
+      const sim::Ps dma = cl.node(c.src).bus().dma_time(64);
+      EXPECT_EQ(arrival, dma + c.p.nic.per_packet_tx + wire +
+                             c.p.nic.per_packet_rx + dma)
+          << c.src << " -> " << c.dst << " on " << shards << " shard(s)";
+    }
+  }
+}
+
 TEST(Fabric, BandwidthBoundedByBottleneckStage) {
   ClusterParams p = tiny();
   ParallelCluster cl(p, 1);
@@ -119,10 +165,9 @@ TEST(Fabric, BandwidthBoundedByBottleneckStage) {
 }
 
 TEST(Fabric, BitErrorsDetectedAndDropped) {
-  ClusterParams p = tiny();
-  p.fabric.bit_error_rate = 1e-4;  // absurdly noisy, to force corruption
-  ParallelCluster cl(p, 1);
+  ParallelCluster cl(tiny(), 1);
   Engine& eng = cl.shard_engine(0);
+  auto injectors = corrupt_wire(cl, 0.3);  // absurdly noisy
   constexpr int kN = 100;
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
@@ -147,10 +192,9 @@ TEST(Fabric, BitErrorsDetectedAndDropped) {
 }
 
 TEST(Fabric, CorruptedPayloadNeverReachesHost) {
-  ClusterParams p = tiny();
-  p.fabric.bit_error_rate = 1e-4;
-  ParallelCluster cl(p, 1);
+  ParallelCluster cl(tiny(), 1);
   Engine& eng = cl.shard_engine(0);
+  auto injectors = corrupt_wire(cl, 0.2);
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < 200; ++i) {
       co_await c.node(0).nic().enqueue(SendDescriptor{

@@ -116,7 +116,6 @@ TEST(Presets, SparcAndPProDiffer) {
   EXPECT_LT(sparc.nic.mtu_payload, ppro.nic.mtu_payload);
   EXPECT_GT(sparc.bus.pio_ps_per_byte, 0.0);
   EXPECT_GT(sparc.fabric.link_ps_per_byte, ppro.fabric.link_ps_per_byte);
-  EXPECT_EQ(sparc.fabric.bit_error_rate, 0.0);
 }
 
 }  // namespace

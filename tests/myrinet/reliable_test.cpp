@@ -1,7 +1,7 @@
 // The link-level go-back-N extension: FM's "Myrinet is reliable" assumption
 // made explicit and removable. With reliable_link on, the NIC recovers from
-// injected bit errors transparently; everything above (FM 2.x, MPI) keeps
-// its guarantees over a lossy fabric.
+// injected corruption, drops and lost acks transparently; everything above
+// (FM 2.x, MPI) keeps its guarantees over a lossy fabric.
 #include <gtest/gtest.h>
 
 #include "common/crc32.hpp"
@@ -16,16 +16,42 @@ namespace {
 using sim::Engine;
 using sim::Task;
 
-ClusterParams lossy_reliable(double ber, int n = 2) {
+ClusterParams reliable(int n = 2) {
   ClusterParams p = ppro_fm2_cluster(n);
-  p.fabric.bit_error_rate = ber;
   p.nic.reliable_link = true;
   return p;
 }
 
+// Flip one payload bit in `rate` of the delivered packets.
+std::vector<std::unique_ptr<fault::PlanInjector>> corrupt_wire(
+    ParallelCluster& cl, double rate) {
+  fault::FaultPlan plan = fault::FaultPlan::clean();
+  plan.wire.corrupt = rate;
+  return fault::arm(cl, plan);
+}
+
+// Drops every explicit ack (an ack_only packet) the fabric delivers before
+// `until`; data packets pass untouched.
+class AckDropper final : public FaultInjector {
+ public:
+  AckDropper(const Engine& eng, sim::Ps until) : eng_(eng), until_(until) {}
+  WireFault on_deliver(const WirePacket& pkt) override {
+    WireFault f;
+    f.drop = pkt.ack_only && eng_.now() < until_;
+    drops += f.drop ? 1 : 0;
+    return f;
+  }
+  int drops = 0;
+
+ private:
+  const Engine& eng_;
+  sim::Ps until_;
+};
+
 TEST(ReliableLink, RecoversFromInjectedErrors) {
-  ParallelCluster cl(lossy_reliable(2e-5), 1);
+  ParallelCluster cl(reliable(), 1);
   Engine& eng = cl.shard_engine(0);
+  auto injectors = corrupt_wire(cl, 0.08);
   constexpr int kN = 300;
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
@@ -54,7 +80,7 @@ TEST(ReliableLink, RecoversFromInjectedDrops) {
   // errors: go-back-N must fill every gap, discard every duplicate, and
   // deliver the byte-exact payload — re-verified here with an independent
   // CRC over what actually landed in host memory.
-  ParallelCluster cl(lossy_reliable(0.0), 1);  // clean wire; faults injected
+  ParallelCluster cl(reliable(), 1);
   Engine& eng = cl.shard_engine(0);
   fault::FaultPlan plan = fault::FaultPlan::clean(17);
   plan.wire.drop = 0.05;
@@ -95,10 +121,9 @@ TEST(ReliableLink, RecoversFromInjectedDrops) {
 }
 
 TEST(ReliableLink, WithoutItErrorsLoseData) {
-  ClusterParams p = ppro_fm2_cluster(2);
-  p.fabric.bit_error_rate = 2e-5;  // reliable_link stays OFF
-  ParallelCluster cl(p, 1);
+  ParallelCluster cl(ppro_fm2_cluster(2), 1);  // reliable_link stays OFF
   Engine& eng = cl.shard_engine(0);
+  auto injectors = corrupt_wire(cl, 0.08);
   constexpr int kN = 300;
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
@@ -149,10 +174,16 @@ TEST(ReliableLink, NoLossFastPathOverheadIsSmall) {
 }
 
 TEST(ReliableLink, SurvivesAckLoss) {
-  // Acks are packets too and get corrupted; duplicates must be discarded
-  // by sequence checks and re-acked.
-  ParallelCluster cl(lossy_reliable(8e-5), 1);
+  // Acks are packets too and get lost. Every explicit ack delivered in the
+  // first 300 us evaporates, so the sender's window fills, its timeout
+  // fires and it resends the window; the receiver must discard the
+  // resent packets it already has by sequence check and re-ack them.
+  // Losing fewer acks (2 of every 3, or only those before 100 us) causes
+  // no retransmission at all: a later cumulative ack covers the lost ones.
+  ParallelCluster cl(reliable(), 1);
   Engine& eng = cl.shard_engine(0);
+  AckDropper dropper(eng, sim::us(300));
+  cl.shard_fabric(0).set_fault(&dropper);
   constexpr int kN = 150;
   eng.spawn([](ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
@@ -168,14 +199,17 @@ TEST(ReliableLink, SurvivesAckLoss) {
       ++g;
     }
   }(cl, got));
-  cl.run();
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(cl));
   EXPECT_EQ(got, kN);
+  EXPECT_GT(dropper.drops, 0);                              // acks were lost
+  EXPECT_GT(cl.node(0).nic().stats().retransmissions, 0u);  // window resent
   // Retransmissions of already-delivered packets were dropped as dups.
   EXPECT_GT(cl.node(1).nic().stats().seq_dropped, 0u);
+  EXPECT_EQ(cl.node(0).nic().unacked(), 0u);
 }
 
 TEST(ReliableLink, BidirectionalTrafficPiggybacksAcks) {
-  ParallelCluster cl(lossy_reliable(0.0), 1);
+  ParallelCluster cl(reliable(), 1);
   Engine& eng = cl.shard_engine(0);
   constexpr int kN = 100;
   for (int dir = 0; dir < 2; ++dir) {
@@ -200,8 +234,9 @@ TEST(ReliableLink, BidirectionalTrafficPiggybacksAcks) {
 TEST(ReliableLink, Fm2StackRunsIntactOverLossyFabric) {
   // The full FM 2.x protocol (credits, streams, handlers) on top of the
   // reliable-link extension, over a genuinely lossy wire.
-  ParallelCluster cl(lossy_reliable(2e-5), 1);
+  ParallelCluster cl(reliable(), 1);
   Engine& eng = cl.shard_engine(0);
+  auto injectors = corrupt_wire(cl, 0.08);
   fm2::Endpoint tx(cl.node(0), cl.fabric_of(0));
   fm2::Endpoint rx(cl.node(1), cl.fabric_of(1));
   constexpr int kMsgs = 20;

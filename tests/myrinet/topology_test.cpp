@@ -2,6 +2,7 @@
 // shared-link congestion, incast back-pressure, and simulation determinism.
 #include <gtest/gtest.h>
 
+#include "fault/injector.hpp"
 #include "fm2/fm2.hpp"
 #include "myrinet/parallel_cluster.hpp"
 
@@ -105,10 +106,12 @@ TEST(Topology, IncastBackPressurePacesAllSenders) {
 TEST(Determinism, IdenticalRunsBitForBit) {
   auto run_fingerprint = [] {
     ClusterParams p = ppro_fm2_cluster(4);
-    p.fabric.bit_error_rate = 1e-5;
     p.nic.reliable_link = true;
     ParallelCluster cl(p, 1);
     Engine& eng = cl.shard_engine(0);
+    fault::FaultPlan plan = fault::FaultPlan::clean();
+    plan.wire.corrupt = 0.03;
+    auto injectors = fault::arm(cl, plan);
     std::vector<std::unique_ptr<fm2::Endpoint>> eps;
     for (int i = 0; i < 4; ++i) {
       eps.push_back(

@@ -66,7 +66,6 @@ TEST(Channel, TryOperations) {
   EXPECT_FALSE(ch.try_pop().has_value());
   EXPECT_TRUE(ch.try_push(1));
   EXPECT_FALSE(ch.try_push(2));  // full
-  EXPECT_TRUE(ch.full());
   auto v = ch.try_pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 1);

@@ -1,10 +1,11 @@
 // Seeded randomized stress: rings of mixed MPI traffic + one-sided shmem
-// ops over shared endpoints, with and without injected bit errors, checking
+// ops over shared endpoints, with and without injected corruption, checking
 // end-to-end integrity, ordering, counter conservation, and quiescence.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "fault/injector.hpp"
 #include "mpi/mpi_fm2.hpp"
 #include "myrinet/parallel_cluster.hpp"
 #include "shmem/shmem.hpp"
@@ -32,12 +33,15 @@ class StressTest
 TEST_P(StressTest, MixedLayerRingWorkload) {
   auto [seed, lossy] = GetParam();
   net::ClusterParams p = net::ppro_fm2_cluster(4);
-  if (lossy) {
-    p.fabric.bit_error_rate = 1e-5;
-    p.nic.reliable_link = true;
-  }
+  p.nic.reliable_link = lossy;
   net::ParallelCluster cluster(p, 1);
   Engine& eng = cluster.shard_engine(0);
+  std::vector<std::unique_ptr<fault::PlanInjector>> injectors;
+  if (lossy) {
+    fault::FaultPlan plan = fault::FaultPlan::clean();
+    plan.wire.corrupt = 0.05;
+    injectors = fault::arm(cluster, plan);
+  }
   mpi::MpiFm2Options mo;
   mo.eager_threshold = 4096;  // exercise both protocols
   std::vector<std::unique_ptr<Node>> nodes;
