@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 namespace fmx::fm1 {
 
@@ -30,7 +29,6 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
       node_(node),
       cfg_(cfg),
       n_hosts_(fabric.n_hosts()) {
-  const int node_id = node_.id();
   const auto& nic = node_.nic().params();
   assert(nic.mtu_payload > sizeof(PacketHeader));
   seg_ = nic.mtu_payload - sizeof(PacketHeader);
@@ -44,17 +42,6 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
   credits_.assign(n_hosts_, cfg_.credits_per_peer);
   freed_.assign(n_hosts_, 0);
   next_msg_seq_.assign(n_hosts_, 0);
-
-  // Publish this endpoint's live counters; a later endpoint on the same
-  // node simply takes the names over.
-  trace::MetricsRegistry& m = tracer().metrics();
-  const std::string pre = "fm1.node" + std::to_string(node_id) + ".";
-  m.expose(pre + "msgs_sent", &stats_.msgs_sent);
-  m.expose(pre + "msgs_received", &stats_.msgs_received);
-  m.expose(pre + "bytes_sent", &stats_.bytes_sent);
-  m.expose(pre + "bytes_received", &stats_.bytes_received);
-  m.expose(pre + "packets_sent", &stats_.packets_sent);
-  m.expose(pre + "credit_stalls", &stats_.credit_stall_events);
 }
 
 void Endpoint::register_handler(HandlerId id, Handler h) {
@@ -88,7 +75,7 @@ sim::Task<void> Endpoint::send_packet(int dest, PacketType type,
   bool fresh = false;
   BufferRef pkt =
       pool().acquire_ref(sizeof(PacketHeader) + chunk.size(), &fresh);
-  if (fresh) node_.host().ledger().note_alloc(pkt.size());
+  if (fresh) node_.host().ledger().note_alloc();
   // Contiguous assembly is FM 1.x's defining endpoint copy: header and user
   // chunk really move into the packet buffer (the PIO/DMA charge below is
   // the modeled cost of the same movement).
@@ -183,7 +170,6 @@ sim::Task<void> Endpoint::send(int dest, HandlerId handler, ByteSpan data) {
   }
   host.charge(Cost::kCall, host.params().call_overhead);
   ++stats_.msgs_sent;
-  stats_.bytes_sent += data.size();
   const std::uint32_t seq = next_msg_seq_[dest]++;
   const std::uint32_t total = static_cast<std::uint32_t>(data.size());
   std::size_t off = 0;
@@ -205,7 +191,6 @@ sim::Task<void> Endpoint::send4(int dest, HandlerId handler, std::uint32_t i0,
   // The four-word fast path skips the general argument marshalling.
   host.charge(Cost::kCall, host.params().call_overhead / 2);
   ++stats_.msgs_sent;
-  stats_.bytes_sent += 16;
   std::uint32_t words[4] = {i0, i1, i2, i3};
   const std::uint32_t seq = next_msg_seq_[dest]++;
   co_await acquire_credit(dest);
@@ -226,7 +211,7 @@ sim::Task<void> Endpoint::maybe_return_credits(int dest) {
   bool fresh = false;
   BufferRef pkt = pool().acquire_ref(sizeof(PacketHeader), &fresh);
   auto& host = node_.host();
-  if (fresh) host.ledger().note_alloc(pkt.size());
+  if (fresh) host.ledger().note_alloc();
   std::memcpy(pkt.mutable_bytes().data(), &h, sizeof(h));
   host.charge(Cost::kFlowCtl, kHeaderBuildCost);
   if (cfg_.pio_send) {
@@ -268,7 +253,7 @@ void Endpoint::deliver_data(int src, const PacketHeader& h, ByteSpan chunk,
   if (inserted) {
     bool fresh = false;
     part.staging = pool().acquire_ref(h.msg_bytes, &fresh);
-    if (fresh) host.ledger().note_alloc(h.msg_bytes);
+    if (fresh) host.ledger().note_alloc();
     part.head = h;
     host.charge(Cost::kBufferMgmt, kStagingAllocCost);
   }

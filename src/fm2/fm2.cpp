@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 namespace fmx::fm2 {
 
@@ -114,7 +113,6 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
       node_(node),
       cfg_(cfg),
       n_hosts_(fabric.n_hosts()) {
-  const int node_id = node_.id();
   const auto& nic = node_.nic().params();
   assert(nic.mtu_payload > kHdr);
   seg_ = nic.mtu_payload - kHdr;
@@ -130,19 +128,6 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
   owed_.assign((n_hosts_ + 63) / 64, 0);
   next_msg_seq_.assign(n_hosts_, 0);
   src_state_.resize(n_hosts_);
-
-  // Publish this endpoint's live counters; a later endpoint on the same
-  // node simply takes the names over.
-  trace::MetricsRegistry& m = tracer().metrics();
-  const std::string pre = "fm2.node" + std::to_string(node_id) + ".";
-  m.expose(pre + "msgs_sent", &stats_.msgs_sent);
-  m.expose(pre + "msgs_received", &stats_.msgs_received);
-  m.expose(pre + "bytes_sent", &stats_.bytes_sent);
-  m.expose(pre + "bytes_received", &stats_.bytes_received);
-  m.expose(pre + "packets_sent", &stats_.packets_sent);
-  m.expose(pre + "handler_starts", &stats_.handler_starts);
-  m.expose(pre + "handler_resumes", &stats_.handler_resumes);
-  m.expose(pre + "credit_stalls", &stats_.credit_stall_events);
 }
 
 void Endpoint::register_handler(HandlerId id, HandlerFn fn) {
@@ -192,7 +177,7 @@ sim::Task<SendStream> Endpoint::begin_message(int dest, std::size_t size,
   s.trace_id_ = trace::Tracer::msg_id(id(), dest, trace::Layer::kFm2, s.seq_);
   bool fresh = false;
   s.pkt_ = pool().acquire_ref(kHdr + std::min(seg_, size), &fresh);
-  if (fresh) host.ledger().note_alloc(s.pkt_.size());
+  if (fresh) host.ledger().note_alloc();
   co_await host.sync();
   co_return s;
 }
@@ -232,7 +217,6 @@ sim::Task<void> Endpoint::end_message(SendStream& s) {
   co_await flush_packet(s, /*last=*/true);
   s.ended_ = true;
   ++stats_.msgs_sent;
-  stats_.bytes_sent += s.total_;
 }
 
 sim::Task<void> Endpoint::flush_packet(SendStream& s, bool last) {
@@ -261,7 +245,7 @@ sim::Task<void> Endpoint::flush_packet(SendStream& s, bool last) {
         std::min(seg_, static_cast<std::size_t>(s.total_) - s.sent_);
     bool fresh = false;
     s.pkt_ = pool().acquire_ref(kHdr + next_payload, &fresh);
-    if (fresh) host.ledger().note_alloc(s.pkt_.size());
+    if (fresh) host.ledger().note_alloc();
   }
   if (cfg_.pio_send) {
     host.note(Cost::kPio, node_.bus().pio_time(out.size()));
@@ -326,7 +310,7 @@ sim::Task<void> Endpoint::return_credits(int dest) {
   auto& host = node_.host();
   bool fresh = false;
   BufferRef pkt = pool().acquire_ref(kHdr, &fresh);
-  if (fresh) host.ledger().note_alloc(pkt.size());
+  if (fresh) host.ledger().note_alloc();
   wire::store_header(pkt.mutable_bytes(), h);
   host.charge(Cost::kFlowCtl, kHeaderBuildCost);
   co_await host.sync();

@@ -309,13 +309,13 @@ class Endpoint {
   int cluster_size() const noexcept { return n_hosts_; }
   net::Host& host() noexcept { return node_.host(); }
   std::size_t max_payload_per_packet() const noexcept { return seg_; }
-  /// Cluster-wide tracer (owned by the fabric this endpoint attaches to).
+  /// The shard's tracer (owned by the fabric replica this endpoint
+  /// attaches to; ParallelCluster::merged_trace() merges the shards).
   trace::Tracer& tracer() noexcept { return fabric_.tracer(); }
 
   struct Stats {
     std::uint64_t msgs_sent = 0;
     std::uint64_t msgs_received = 0;
-    std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
     std::uint64_t packets_sent = 0;
     std::uint64_t pieces_sent = 0;
@@ -390,7 +390,7 @@ class Endpoint {
   /// Lowest peer >= `from` owed an explicit credit return, or -1.
   int next_owed(int from) const;
   sim::Task<void> return_credits(int dest);
-  /// Cluster-wide packet-buffer pool (owned by the fabric).
+  /// The shard's packet-buffer pool (owned by its fabric replica).
   BufferPool& pool() noexcept { return fabric_.pool(); }
 
   /// Route one data packet into its source's stream machinery.

@@ -140,8 +140,8 @@ sim::Ps Fabric::zero_load_latency(int src, int dst,
 
 Fabric::Walk Fabric::walk(const WirePacket& pkt, int first, int last,
                           sim::Ps head, sim::Ps ser) {
-  // Link ids come straight out of the topology's route tables — O(1) per
-  // hop, no shared path buffer, so interleaved walks can never alias.
+  // Link ids are closed-form topology arithmetic — O(1) per hop, no
+  // shared path buffer, so interleaved walks can never alias.
   Walk w{head, head};
   for (int i = first; i < last; ++i) {
     Link* l = links_[topo_.link_at(pkt.src, pkt.dst, pkt.flow, i)].get();
@@ -166,7 +166,6 @@ sim::Task<void> Fabric::deliver_body(WirePacket pkt) {
     WireFault f = fault_->on_deliver(pkt);
     if (f.extra_delay > 0) {
       // Held back relative to packets behind it: observable reordering.
-      ++stats_.delayed;
       co_await eng_.delay(f.extra_delay);
     }
     if (f.corrupt && !pkt.payload.empty()) {

@@ -2,8 +2,8 @@
 // the network, link-level back-pressure. The switch geometry — chained
 // crossbars or a k-ary fat-tree/Clos with ECMP multipath — lives in
 // myrinet/topo.hpp; the Fabric holds one FIFO serial resource per directed
-// link id and walks the topology's precomputed route tables at transmit
-// time (O(1) per hop, no shared scratch path). It keeps link state only:
+// link id and asks the topology for each hop's link id at transmit time
+// (O(1) per hop, no shared scratch path). It keeps link state only:
 // wire faults come through the FaultInjector seam.
 //
 // Modeling approach: each directed link is a FIFO serial resource. A packet
@@ -81,7 +81,6 @@ class Fabric {
     // injected-fault counters (nonzero only with a FaultInjector armed)
     std::uint64_t dropped = 0;
     std::uint64_t duplicated = 0;
-    std::uint64_t delayed = 0;
   };
   const Stats& stats() const noexcept { return stats_; }
   const FabricParams& params() const noexcept { return p_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 
 namespace fmx::net {
 namespace {
@@ -54,54 +53,6 @@ std::vector<sim::Ps> shard_lookahead(const std::vector<sim::Ps>& sl_host,
     for (int d = 0; d < k; ++d) row[d] = std::min(row[d], sl_host[a * k + d]);
   }
   return la;
-}
-
-// Bind a fabric's and its buffer pool's live counters into a tracer's
-// metrics registry so tests and benches can query them by name. Views
-// only: the hot paths keep bumping plain fields.
-void expose_fabric_metrics(trace::MetricsRegistry& m, Fabric& f) {
-  const Fabric::Stats& fs = f.stats();
-  m.expose("fabric.packets", &fs.packets);
-  m.expose("fabric.payload_bytes", &fs.payload_bytes);
-  m.expose("fabric.corrupted", &fs.corrupted);
-  m.expose("fabric.dropped", &fs.dropped);
-  m.expose("fabric.duplicated", &fs.duplicated);
-  m.expose("fabric.delayed", &fs.delayed);
-  const BufferPool::Stats& ps = f.pool().stats();
-  m.expose("pool.acquires", &ps.acquires);
-  m.expose("pool.hits", &ps.pool_hits);
-  m.expose("pool.misses", &ps.fresh_allocs);
-  m.expose("pool.releases", &ps.releases);
-}
-
-// Per-node NIC, host-ledger and registration-cache counters, named
-// "node<id>.<layer>.<counter>".
-void expose_node_metrics(trace::MetricsRegistry& m, Node& n) {
-  const std::string pre = "node" + std::to_string(n.id()) + ".";
-  const Nic::Stats& ns = n.nic().stats();
-  m.expose(pre + "nic.tx_packets", &ns.tx_packets);
-  m.expose(pre + "nic.rx_packets", &ns.rx_packets);
-  m.expose(pre + "nic.crc_dropped", &ns.crc_dropped);
-  m.expose(pre + "nic.retransmissions", &ns.retransmissions);
-  m.expose(pre + "nic.acks_sent", &ns.acks_sent);
-  m.expose(pre + "nic.seq_dropped", &ns.seq_dropped);
-  m.expose(pre + "nic.coll_rx_packets", &ns.coll_rx_packets);
-  m.expose(pre + "nic.coll_combines", &ns.coll_combines);
-  m.expose(pre + "nic.coll_forwards", &ns.coll_forwards);
-  m.expose(pre + "nic.coll_completions", &ns.coll_completions);
-  m.expose(pre + "nic.coll_orphaned", &ns.coll_orphaned);
-  m.expose(pre + "nic.coll_stale", &ns.coll_stale);
-  const sim::CostLedger& hl = n.host().ledger();
-  m.expose(pre + "host.copies", hl.copies_cell());
-  m.expose(pre + "host.copied_bytes", hl.copied_bytes_cell());
-  m.expose(pre + "host.pool_misses", hl.allocs_cell());
-  m.expose(pre + "host.pool_miss_bytes", hl.alloc_bytes_cell());
-  const RegCache::Stats& rs = n.host().reg_cache().stats();
-  m.expose(pre + "regcache.hits", &rs.hits);
-  m.expose(pre + "regcache.misses", &rs.misses);
-  m.expose(pre + "regcache.evictions", &rs.evictions);
-  m.expose(pre + "regcache.coalesces", &rs.coalesces);
-  m.expose(pre + "regcache.pinned_bytes", &rs.pinned_bytes);
 }
 
 }  // namespace
@@ -178,13 +129,6 @@ ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
       fabrics_[s]->pool().prewarm(sz, per_class);
     }
   }
-  // Every shard's tracer sees its own fabric replica, pool and nodes.
-  for (const auto& f : fabrics_) {
-    expose_fabric_metrics(f->tracer().metrics(), *f);
-  }
-  for (const auto& n : nodes_) {
-    expose_node_metrics(fabric_of(n->id()).tracer().metrics(), *n);
-  }
 }
 
 // Lower bound on the head-arrival time of any cross-shard packet this
@@ -243,7 +187,6 @@ Fabric::Stats ParallelCluster::fabric_stats() const {
     out.corrupted += s.corrupted;
     out.dropped += s.dropped;
     out.duplicated += s.duplicated;
-    out.delayed += s.delayed;
   }
   return out;
 }

@@ -40,44 +40,17 @@ Topo::Topo(const FabricParams& p, int n_hosts)
   half_ = k / 2;
   pods_ = k;
   hosts_per_edge_ = half_ * p.oversubscription;
-  n_edges_ = pods_ * half_;
-  n_aggs_ = pods_ * half_;
-  n_cores_ = half_ * half_;
-  n_switches_ = n_edges_ + n_aggs_ + n_cores_;
+  const int n_edges = pods_ * half_;
+  const int n_aggs = pods_ * half_;
+  const int n_cores = half_ * half_;
+  n_switches_ = n_edges + n_aggs + n_cores;
   max_path_len_ = 6;
 
   base_ea_ = 2 * n_hosts_;
-  base_ae_ = base_ea_ + n_edges_ * half_;
-  base_ac_ = base_ae_ + n_aggs_ * half_;
-  base_ca_ = base_ac_ + n_aggs_ * half_;
-  n_links_ = base_ca_ + n_cores_ * pods_;
-
-  // Fill the forwarding tables. Today's id assignment is affine in the
-  // indices, but the Fabric-facing contract is the table lookup: a future
-  // topology (pruned core, link failures) only has to rewrite the tables.
-  ea_.resize(static_cast<std::size_t>(n_edges_) * half_);
-  ae_.resize(static_cast<std::size_t>(n_aggs_) * half_);
-  ac_.resize(static_cast<std::size_t>(n_aggs_) * half_);
-  ca_.resize(static_cast<std::size_t>(n_cores_) * pods_);
-  for (int e = 0; e < n_edges_; ++e) {
-    for (int j = 0; j < half_; ++j) {
-      ea_[static_cast<std::size_t>(e) * half_ + j] = base_ea_ + e * half_ + j;
-    }
-  }
-  for (int a = 0; a < n_aggs_; ++a) {
-    for (int i = 0; i < half_; ++i) {
-      ae_[static_cast<std::size_t>(a) * half_ + i] = base_ae_ + a * half_ + i;
-    }
-    for (int c2 = 0; c2 < half_; ++c2) {
-      ac_[static_cast<std::size_t>(a) * half_ + c2] =
-          base_ac_ + a * half_ + c2;
-    }
-  }
-  for (int c = 0; c < n_cores_; ++c) {
-    for (int pd = 0; pd < pods_; ++pd) {
-      ca_[static_cast<std::size_t>(c) * pods_ + pd] = base_ca_ + c * pods_ + pd;
-    }
-  }
+  base_ae_ = base_ea_ + n_edges * half_;
+  base_ac_ = base_ae_ + n_aggs * half_;
+  base_ca_ = base_ac_ + n_aggs * half_;
+  n_links_ = base_ca_ + n_cores * pods_;
 }
 
 int Topo::hops(int src, int dst) const noexcept {
@@ -122,9 +95,9 @@ int Topo::link_at(int src, int dst, std::uint32_t flow, int i) const noexcept {
   const int j = static_cast<int>(h % static_cast<std::uint64_t>(half_));
   if (len == 4) {
     // Same pod: up to agg j, back down to the destination edge.
-    if (i == 1) return ea_[static_cast<std::size_t>(e_s) * half_ + j];
+    if (i == 1) return base_ea_ + e_s * half_ + j;
     const int a = pod_of_edge(e_s) * half_ + j;
-    return ae_[static_cast<std::size_t>(a) * half_ + (e_d % half_)];
+    return base_ae_ + a * half_ + e_d % half_;
   }
   // Cross pod (len == 6): agg j up to core column c2, down through the
   // destination pod's agg j.
@@ -132,18 +105,18 @@ int Topo::link_at(int src, int dst, std::uint32_t flow, int i) const noexcept {
                                   static_cast<std::uint64_t>(half_));
   switch (i) {
     case 1:
-      return ea_[static_cast<std::size_t>(e_s) * half_ + j];
+      return base_ea_ + e_s * half_ + j;
     case 2: {
       const int a_s = pod_of_edge(e_s) * half_ + j;
-      return ac_[static_cast<std::size_t>(a_s) * half_ + c2];
+      return base_ac_ + a_s * half_ + c2;
     }
     case 3: {
       const int c = j * half_ + c2;
-      return ca_[static_cast<std::size_t>(c) * pods_ + pod_of_edge(e_d)];
+      return base_ca_ + c * pods_ + pod_of_edge(e_d);
     }
     default: {
       const int a_d = pod_of_edge(e_d) * half_ + j;
-      return ae_[static_cast<std::size_t>(a_d) * half_ + (e_d % half_)];
+      return base_ae_ + a_d * half_ + e_d % half_;
     }
   }
 }

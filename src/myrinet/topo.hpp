@@ -1,9 +1,9 @@
 // Fabric topology descriptor: the pure routing geometry of a cluster,
 // independent of the simulation engine. A Topo owns the directed-link id
-// space and the precomputed compressed route tables the Fabric indexes at
-// transmit time — O(switches * radix) table entries instead of a per-call
-// scratch path, so route lookup is O(1) per hop, allocation-free, and has
-// no valid-until-next-call aliasing (the old Fabric::route() footgun).
+// space and computes each hop's link id in closed form from the switch
+// indices at transmit time — no tables and no per-call scratch path, so
+// route lookup is O(1) per hop, allocation-free, and has no
+// valid-until-next-call aliasing.
 //
 // Two topologies:
 //   * kChain    — the original preset: crossbar switches of hosts_per_switch
@@ -41,7 +41,7 @@ namespace fmx::net {
 
 class Topo {
  public:
-  /// Builds the route tables for `n_hosts` hosts under the topology
+  /// Lays out the link ids for `n_hosts` hosts under the topology
   /// described by `p` (kind, hosts_per_switch / radix, oversubscription).
   /// Fat-trees may be partially populated: any n_hosts up to capacity.
   Topo(const FabricParams& p, int n_hosts);
@@ -67,7 +67,7 @@ class Topo {
     return hops(src, dst) + 1;
   }
   /// The i-th directed link (0 <= i < path_len) on the ECMP path the flow
-  /// hash selects for (src, dst, flow). Pure table/index arithmetic.
+  /// hash selects for (src, dst, flow). Pure index arithmetic.
   int link_at(int src, int dst, std::uint32_t flow, int i) const noexcept;
   /// Number of equal-cost paths between the pair (1 for chains).
   int ecmp_paths(int src, int dst) const noexcept;
@@ -123,15 +123,11 @@ class Topo {
   int half_ = 0;            // k/2
   int pods_ = 0;            // k
   int hosts_per_edge_ = 0;  // half * oversubscription
-  int n_edges_ = 0;         // pods * half
-  int n_aggs_ = 0;          // pods * half
-  int n_cores_ = 0;         // half * half
-  // Compressed route tables: directed link ids indexed by (switch, port).
-  // ea_[e*half + j]        edge e        -> agg j of its pod
-  // ae_[a*half + i]        agg  a        -> i-th edge of its pod
-  // ac_[a*half + c2]       agg  a (=j)   -> core (j, c2)
-  // ca_[c*pods + p]        core c        -> its agg in pod p
-  std::vector<std::int32_t> ea_, ae_, ac_, ca_;
+  // Transit link ids, by (switch, port):
+  //   base_ea_ + e*half + j    edge e        -> agg j of its pod
+  //   base_ae_ + a*half + i    agg  a        -> i-th edge of its pod
+  //   base_ac_ + a*half + c2   agg  a (=j)   -> core (j, c2)
+  //   base_ca_ + c*pods + p    core c        -> its agg in pod p
   int base_ea_ = 0, base_ae_ = 0, base_ac_ = 0, base_ca_ = 0;
 };
 

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "sim/time.hpp"
-#include "trace/metrics.hpp"
 
 namespace fmx::sim {
 
@@ -58,35 +57,21 @@ class CostLedger {
   }
 
   void note_copy(std::uint64_t bytes) noexcept {
-    copies_.add();
-    copied_bytes_.add(bytes);
+    ++copies_;
+    copied_bytes_ += bytes;
   }
 
   /// A fresh heap buffer had to be allocated on the data path (buffer-pool
   /// miss). Steady-state streaming should record zero of these.
-  void note_alloc(std::uint64_t bytes) noexcept {
-    allocs_.add();
-    alloc_bytes_.add(bytes);
-  }
+  void note_alloc() noexcept { ++allocs_; }
 
   Ps total() const noexcept { return total_; }
   Ps of(Cost c) const noexcept {
     return per_cat_[static_cast<std::size_t>(c)];
   }
-  std::uint64_t copies() const noexcept { return copies_.value; }
-  std::uint64_t copied_bytes() const noexcept { return copied_bytes_.value; }
-  std::uint64_t allocs() const noexcept { return allocs_.value; }
-
-  /// Live cells for trace::MetricsRegistry::expose() — lets the registry
-  /// read this ledger's counters by name without copying them.
-  const std::uint64_t* copies_cell() const noexcept { return copies_.cell(); }
-  const std::uint64_t* copied_bytes_cell() const noexcept {
-    return copied_bytes_.cell();
-  }
-  const std::uint64_t* allocs_cell() const noexcept { return allocs_.cell(); }
-  const std::uint64_t* alloc_bytes_cell() const noexcept {
-    return alloc_bytes_.cell();
-  }
+  std::uint64_t copies() const noexcept { return copies_; }
+  std::uint64_t copied_bytes() const noexcept { return copied_bytes_; }
+  std::uint64_t allocs() const noexcept { return allocs_; }
 
   void reset() noexcept { *this = CostLedger{}; }
 
@@ -97,20 +82,18 @@ class CostLedger {
       d.per_cat_[i] = per_cat_[i] - earlier.per_cat_[i];
     }
     d.total_ = total_ - earlier.total_;
-    d.copies_.value = copies_.value - earlier.copies_.value;
-    d.copied_bytes_.value = copied_bytes_.value - earlier.copied_bytes_.value;
-    d.allocs_.value = allocs_.value - earlier.allocs_.value;
-    d.alloc_bytes_.value = alloc_bytes_.value - earlier.alloc_bytes_.value;
+    d.copies_ = copies_ - earlier.copies_;
+    d.copied_bytes_ = copied_bytes_ - earlier.copied_bytes_;
+    d.allocs_ = allocs_ - earlier.allocs_;
     return d;
   }
 
  private:
   std::array<Ps, static_cast<std::size_t>(Cost::kCount)> per_cat_{};
   Ps total_ = 0;
-  trace::Counter copies_;
-  trace::Counter copied_bytes_;
-  trace::Counter allocs_;
-  trace::Counter alloc_bytes_;
+  std::uint64_t copies_ = 0;
+  std::uint64_t copied_bytes_ = 0;
+  std::uint64_t allocs_ = 0;
 };
 
 }  // namespace fmx::sim

@@ -7,6 +7,8 @@
 #include <map>
 #include <sstream>
 
+#include "trace/metrics.hpp"
+
 namespace fmx::trace {
 namespace {
 

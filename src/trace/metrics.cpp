@@ -60,48 +60,4 @@ std::vector<std::uint64_t> latency_bounds_ps() {
   return bounds;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  auto it = owned_by_name_.find(name);
-  if (it == owned_by_name_.end()) {
-    Counter& c = owned_.emplace_back();
-    it = owned_by_name_.emplace(name, &c).first;
-    views_[name] = c.cell();
-  }
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds) {
-  auto it = hists_.find(name);
-  if (it == hists_.end()) {
-    it = hists_.emplace(name, Histogram(std::move(bounds))).first;
-  }
-  return it->second;
-}
-
-void MetricsRegistry::expose(const std::string& name,
-                             const std::uint64_t* value) {
-  views_[name] = value;
-}
-
-std::optional<std::uint64_t> MetricsRegistry::value(
-    std::string_view name) const {
-  auto it = views_.find(name);
-  if (it == views_.end()) return std::nullopt;
-  return *it->second;
-}
-
-const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-  auto it = hists_.find(name);
-  return it == hists_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::snapshot()
-    const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(views_.size());
-  for (const auto& [name, cell] : views_) out.emplace_back(name, *cell);
-  return out;
-}
-
 }  // namespace fmx::trace

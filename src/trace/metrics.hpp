@@ -1,41 +1,15 @@
-// Metrics registry: monotonic counters and fixed-bucket histograms,
-// queryable by name from tests and benches.
-//
-// Two kinds of entries:
-//   * Owned counters/histograms, created on first use via counter() /
-//     histogram(). Incrementing one is a single add — cheap enough to leave
-//     on unconditionally.
-//   * Exposed views: a name bound to an externally owned std::uint64_t (an
-//     existing Stats field, a CostLedger cell, a BufferPool counter). The
-//     registry never writes through a view; it only reads at query time, so
-//     exposing a hot counter costs the hot path nothing.
-//
-// The Counter type itself is header-only and dependency-free so low layers
-// (sim::CostLedger) can use it as their storage cell while the registry —
-// the query surface — lives up here in the trace library.
+// Fixed-bucket histograms for latency quantiles. Counters live with their
+// owners: each layer keeps its counts in its own Stats struct (or
+// sim::CostLedger) and callers read them through the owner's accessor.
+// A Histogram is a plain value its user owns; observe() never allocates.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <deque>
-#include <optional>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace fmx::trace {
-
-/// Monotonic counter cell. The value is public on purpose: it is the
-/// canonical storage for whoever owns the counter, and `cell()` lets the
-/// owner expose it in a MetricsRegistry as a read-only view.
-struct Counter {
-  std::uint64_t value = 0;
-
-  void add(std::uint64_t d = 1) noexcept { value += d; }
-  const std::uint64_t* cell() const noexcept { return &value; }
-};
 
 /// Fixed-bucket histogram: counts per bucket i are observations with
 /// v <= bounds[i]; one implicit overflow bucket catches the rest. Bucket
@@ -109,39 +83,5 @@ class Histogram {
 /// enough for p999 reporting while keeping observe() at a 7-compare binary
 /// search. Use the same layout everywhere quantiles must merge.
 std::vector<std::uint64_t> latency_bounds_ps();
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Owned counter, created on first use. Pointer-stable for the life of
-  /// the registry, so hot paths may cache the reference.
-  Counter& counter(const std::string& name);
-
-  /// Owned histogram with the given bucket bounds, created on first use
-  /// (bounds of an existing name are left untouched).
-  Histogram& histogram(const std::string& name,
-                       std::vector<std::uint64_t> bounds);
-
-  /// Bind `name` to an externally owned cell (Stats field, ledger cell).
-  /// Re-exposing a name rebinds it — endpoints recreated on one node in a
-  /// test simply take the name over.
-  void expose(const std::string& name, const std::uint64_t* value);
-
-  /// Current value of a counter or exposed view; nullopt if unknown.
-  std::optional<std::uint64_t> value(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
-
-  /// All counters and views, sorted by name (std::map order).
-  std::vector<std::pair<std::string, std::uint64_t>> snapshot() const;
-
- private:
-  std::map<std::string, const std::uint64_t*, std::less<>> views_;
-  std::map<std::string, Counter*, std::less<>> owned_by_name_;
-  std::deque<Counter> owned_;  // deque: stable addresses on growth
-  std::map<std::string, Histogram, std::less<>> hists_;
-};
 
 }  // namespace fmx::trace

@@ -1,7 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <string>
-
 namespace fmx::trace {
 
 const char* to_string(EventType t) noexcept {
@@ -46,11 +44,6 @@ void Tracer::enable(std::size_t capacity_events) {
   std::size_t want = (capacity_events + kChunkEvents - 1) / kChunkEvents;
   if (want == 0) want = 1;
   while (chunks_.size() < want) chunks_.push_back(std::make_unique<Chunk>());
-  for (std::size_t i = 0; i < type_counters_.size(); ++i) {
-    type_counters_[i] = &metrics_.counter(
-        std::string("trace.events.") +
-        to_string(static_cast<EventType>(i)));
-  }
   clear();
   enabled_ = true;
 }
@@ -73,7 +66,6 @@ void Tracer::push(const Event& e) {
   }
   (*chunks_[tail_chunk_])[tail_off_] = e;
   ++size_;
-  type_counters_[static_cast<std::size_t>(e.type)]->add();
   if (++tail_off_ == kChunkEvents) {
     tail_off_ = 0;
     tail_chunk_ = (tail_chunk_ + 1) % chunks_.size();

@@ -1,5 +1,6 @@
-// Cross-layer event tracer. One Tracer per cluster (owned by net::Fabric)
-// records typed events stamped with sim-time, node id, layer tag, and a
+// Cross-layer event tracer. One Tracer per shard (owned by that shard's
+// net::Fabric replica; ParallelCluster::merged_trace() merges them) records
+// typed events stamped with sim-time, node id, layer tag, and a
 // message id threaded through fm1/fm2/mpi/NIC/fabric hook points.
 //
 // Cost model, matching the paper's discipline about measurement overhead:
@@ -19,7 +20,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
-#include "trace/metrics.hpp"
 
 namespace fmx::trace {
 
@@ -114,9 +114,6 @@ class Tracer {
   /// Copy of the retained events in record order (test/export convenience).
   std::vector<Event> events() const;
 
-  MetricsRegistry& metrics() noexcept { return metrics_; }
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
-
   /// Canonical cross-layer message id: layer tag + endpoints + per-source
   /// sequence number, packed so sender and receiver derive the same id
   /// independently. 12-bit node ids (4096 nodes) and 36-bit sequence
@@ -143,9 +140,6 @@ class Tracer {
   std::size_t tail_off_ = 0;    // next free slot in it
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
-  std::array<Counter*, static_cast<std::size_t>(EventType::kCount)>
-      type_counters_{};
-  MetricsRegistry metrics_;
 };
 
 }  // namespace fmx::trace

@@ -134,17 +134,15 @@ Schedule make_schedule(const TrafficConfig& cfg, int n_hosts) {
 
 struct TrafficEngine::NodeState {
   sim::Engine* eng = nullptr;
-  trace::Histogram* src_queue = nullptr;
-  trace::Histogram* transit = nullptr;
-  trace::Histogram* deliver = nullptr;
-  trace::Histogram* handler = nullptr;
-  trace::Histogram* e2e = nullptr;
+  LayerHists* hist = nullptr;  // the node's shard's set
   std::uint32_t got = 0;       // node-local completion count (termination)
   FlowHdr scratch{};           // receive target for the header bytes
 };
 
 TrafficEngine::TrafficEngine(net::ParallelCluster& cluster) : cl_(cluster) {
   const int n = cl_.size();
+  const trace::Histogram empty(trace::latency_bounds_ps());
+  hists_.assign(cl_.n_shards(), {empty, empty, empty, empty, empty});
   eps_.reserve(n);
   nodes_.reserve(n);
   send_buf_.resize(n);
@@ -153,18 +151,7 @@ TrafficEngine::TrafficEngine(net::ParallelCluster& cluster) : cl_(cluster) {
         std::make_unique<fm2::Endpoint>(cl_.node(i), cl_.fabric_of(i)));
     auto ns = std::make_unique<NodeState>();
     ns->eng = &cl_.engine_of(i);
-    // Shard-local histograms (same object for every node of a shard):
-    // handlers bump them lock-free, run_wave() merges across shards.
-    auto& m = cl_.fabric_of(i).tracer().metrics();
-    ns->src_queue =
-        &m.histogram("traffic.src_queue_ps", trace::latency_bounds_ps());
-    ns->transit =
-        &m.histogram("traffic.transit_ps", trace::latency_bounds_ps());
-    ns->deliver =
-        &m.histogram("traffic.deliver_ps", trace::latency_bounds_ps());
-    ns->handler =
-        &m.histogram("traffic.handler_ps", trace::latency_bounds_ps());
-    ns->e2e = &m.histogram("traffic.e2e_ps", trace::latency_bounds_ps());
+    ns->hist = &hists_[cl_.shard_of(i)];
     nodes_.push_back(std::move(ns));
   }
   for (int i = 0; i < n; ++i) {
@@ -177,16 +164,13 @@ TrafficEngine::TrafficEngine(net::ParallelCluster& cluster) : cl_(cluster) {
           const sim::Ps t_arrived = s.first_arrival();
           if (s.remaining() > 0) co_await s.skip(s.remaining());
           const sim::Ps t_done = ns.eng->now();
-          ns.src_queue->observe(
-              static_cast<std::uint64_t>(hdr.t_send - hdr.t_sched));
-          ns.transit->observe(
-              static_cast<std::uint64_t>(t_arrived - hdr.t_send));
-          ns.deliver->observe(
-              static_cast<std::uint64_t>(t_handler - t_arrived));
-          ns.handler->observe(
-              static_cast<std::uint64_t>(t_done - t_handler));
-          ns.e2e->observe(
-              static_cast<std::uint64_t>(t_done - hdr.t_sched));
+          // src_queue, transit, deliver, handler, e2e
+          LayerHists& h = *ns.hist;
+          h[0].observe(static_cast<std::uint64_t>(hdr.t_send - hdr.t_sched));
+          h[1].observe(static_cast<std::uint64_t>(t_arrived - hdr.t_send));
+          h[2].observe(static_cast<std::uint64_t>(t_handler - t_arrived));
+          h[3].observe(static_cast<std::uint64_t>(t_done - t_handler));
+          h[4].observe(static_cast<std::uint64_t>(t_done - hdr.t_sched));
           done_at_[hdr.flow_id] = t_done;
           ++ns.got;
         });
@@ -207,7 +191,7 @@ sim::Task<void> TrafficEngine::sender(int src, const Schedule& s,
     const sim::Ps t_sched = base + f.arrival;
     // Open loop: pace by the schedule. If the previous send overran its
     // slot (credits, NIC queue), now() is already past t_sched and the
-    // lateness lands in traffic.src_queue_ps instead of stretching the
+    // lateness lands in the src_queue histogram instead of stretching the
     // offered load.
     co_await eng.sleep_until(t_sched);
     FlowHdr hdr{id0 + k, t_sched, eng.now(), 0};
@@ -225,14 +209,11 @@ sim::Task<void> TrafficEngine::receiver(int dst, std::uint32_t expect) {
 void TrafficEngine::reset_for(const Schedule& s) {
   done_at_.assign(s.total_flows, 0);
   sched_at_.assign(s.total_flows, 0);
+  for (LayerHists& hs : hists_) {
+    for (trace::Histogram& h : hs) h.reset();
+  }
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     nodes_[i]->got = 0;
-    // Shared per shard; resetting the same histogram repeatedly is a no-op.
-    nodes_[i]->src_queue->reset();
-    nodes_[i]->transit->reset();
-    nodes_[i]->deliver->reset();
-    nodes_[i]->handler->reset();
-    nodes_[i]->e2e->reset();
     if (send_buf_[i].size() < s.max_flow_bytes) {
       send_buf_[i].resize(s.max_flow_bytes);
       for (std::size_t b = 0; b < send_buf_[i].size(); ++b) {
@@ -275,7 +256,6 @@ WaveResult TrafficEngine::run_wave(const Schedule& s, int n_threads) {
 WaveResult TrafficEngine::collect_wave(
     const Schedule& s, const net::ParallelCluster::RunResult& run) {
   const sim::Ps base = wave_base_;
-  const int n = cl_.size();
   WaveResult r;
   r.events = run.events;
   r.pending_roots = run.pending_roots;
@@ -310,28 +290,12 @@ WaveResult TrafficEngine::collect_wave(
     r.peak_concurrent = static_cast<std::uint64_t>(peak);
   }
 
-  // Merge shard-local histograms (one representative node per shard).
+  // Merge the shard-local histograms.
   static const char* kLayers[] = {"src_queue", "transit", "deliver",
                                   "handler", "e2e"};
-  auto layer_hist = [this](const NodeState& ns, int l) -> trace::Histogram* {
-    switch (l) {
-      case 0: return ns.src_queue;
-      case 1: return ns.transit;
-      case 2: return ns.deliver;
-      case 3: return ns.handler;
-      default: return ns.e2e;
-    }
-  };
-  for (int l = 0; l < 5; ++l) {
+  for (std::size_t l = 0; l < std::size(kLayers); ++l) {
     trace::Histogram merged(trace::latency_bounds_ps());
-    std::vector<const trace::Histogram*> seen;
-    for (int i = 0; i < n; ++i) {
-      const trace::Histogram* h = layer_hist(*nodes_[i], l);
-      if (std::find(seen.begin(), seen.end(), h) == seen.end()) {
-        seen.push_back(h);
-        merged.merge(*h);
-      }
-    }
+    for (const LayerHists& hs : hists_) merged.merge(hs[l]);
     LayerQuantiles q;
     q.layer = kLayers[l];
     q.count = merged.count();

@@ -7,18 +7,18 @@
 // over real fm2::Endpoints on a ParallelCluster — one sender coroutine per
 // host paces its own flows by scheduled arrival time, handlers on the
 // receive side timestamp each flow at four points, and per-layer latency
-// histograms (trace::Histogram, shard-local then merged) report
-// p50/p99/p999 for:
+// histograms (trace::Histogram in picoseconds, owned by the engine per
+// shard, merged after the run) report p50/p99/p999 for:
 //
-//   traffic.src_queue_ps  scheduled arrival -> injection start (how far
-//                         the finite-rate sender fell behind the open-loop
-//                         schedule; the send-side queueing tail)
-//   traffic.transit_ps    injection -> first packet out of the fabric
-//                         (wire + switching + fabric contention)
-//   traffic.deliver_ps    fabric arrival -> handler start (receive-ring
-//                         wait: extract scheduling + handler backlog)
-//   traffic.handler_ps    handler start -> last byte consumed
-//   traffic.e2e_ps        scheduled arrival -> handler done
+//   src_queue  scheduled arrival -> injection start (how far the
+//              finite-rate sender fell behind the open-loop schedule;
+//              the send-side queueing tail)
+//   transit    injection -> first packet out of the fabric
+//              (wire + switching + fabric contention)
+//   deliver    fabric arrival -> handler start (receive-ring wait:
+//              extract scheduling + handler backlog)
+//   handler    handler start -> last byte consumed
+//   e2e        scheduled arrival -> handler done
 //
 // "Open loop" is the load-generation discipline: arrival times are fixed
 // up front and never react to the system under test, so when the fabric or
@@ -35,6 +35,7 @@
 // count), which the conservative parallel engine requires.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -142,6 +143,8 @@ class TrafficEngine {
 
  private:
   struct NodeState;
+  /// One shard's latency histograms, in WaveResult::layers order.
+  using LayerHists = std::array<trace::Histogram, 5>;
   sim::Task<void> sender(int src, const Schedule& s, sim::Ps base);
   sim::Task<void> receiver(int dst, std::uint32_t expect);
   void reset_for(const Schedule& s);
@@ -151,6 +154,9 @@ class TrafficEngine {
   net::ParallelCluster& cl_;
   std::vector<std::unique_ptr<fm2::Endpoint>> eps_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
+  // [shard]: handlers on a shard's nodes bump them lock-free, and
+  // collect_wave() merges across shards.
+  std::vector<LayerHists> hists_;
   // Completion + scheduled-arrival timestamps per global flow id. Written
   // once per flow (handler side / sender side respectively); entries are
   // distinct objects, so cross-shard writers never touch the same one.
