@@ -32,7 +32,6 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
   const auto& nic = node_.nic().params();
   assert(nic.mtu_payload > sizeof(PacketHeader));
   seg_ = nic.mtu_payload - sizeof(PacketHeader);
-  handlers_.resize(256);
   if (cfg_.credits_per_peer <= 0) {
     int peers = std::max(1, n_hosts_ - 1);
     cfg_.credits_per_peer =
@@ -45,7 +44,7 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
 }
 
 void Endpoint::register_handler(HandlerId id, Handler h) {
-  handlers_.at(id) = std::move(h);
+  handlers_.set(id, std::move(h));
 }
 
 std::uint16_t Endpoint::take_piggyback(int dest) {
@@ -239,7 +238,7 @@ void Endpoint::deliver_data(int src, const PacketHeader& h, ByteSpan chunk,
     stats_.bytes_received += chunk.size();
     tracer().record(trace::EventType::kHandlerRun, trace::Layer::kFm1, id(),
                     tid, chunk.size());
-    if (auto& fn = handlers_.at(h.handler)) fn(src, chunk);
+    if (const Handler* fn = handlers_.find(h.handler)) (*fn)(src, chunk);
     tracer().record(trace::EventType::kMsgDone, trace::Layer::kFm1, id(),
                     tid, chunk.size());
     ++*completed;
@@ -271,8 +270,8 @@ void Endpoint::deliver_data(int src, const PacketHeader& h, ByteSpan chunk,
     // FM 2.x where it overlaps trailing-packet arrival.
     tracer().record(trace::EventType::kHandlerRun, trace::Layer::kFm1, id(),
                     tid, part.staging.size());
-    if (auto& fn = handlers_.at(part.head.handler)) {
-      fn(src, part.staging.span());
+    if (const Handler* fn = handlers_.find(part.head.handler)) {
+      (*fn)(src, part.staging.span());
     }
     tracer().record(trace::EventType::kMsgDone, trace::Layer::kFm1, id(),
                     tid, part.staging.size());

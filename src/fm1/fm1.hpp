@@ -21,6 +21,7 @@
 #include "common/buffer.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/fmwire.hpp"
+#include "common/handler_table.hpp"
 #include "myrinet/node.hpp"
 #include "sim/ring.hpp"
 
@@ -116,7 +117,7 @@ class Endpoint {
   int credit_return_threshold_ = 1;
   int n_hosts_;
   std::size_t seg_;  // payload bytes per packet
-  std::vector<Handler> handlers_;
+  HandlerTable<Handler> handlers_;
   std::vector<int> credits_;        // send credits toward each peer
   std::vector<int> freed_;          // receive slots freed, owed to peer
   std::vector<std::uint32_t> next_msg_seq_;

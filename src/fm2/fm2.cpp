@@ -116,38 +116,33 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
   const auto& nic = node_.nic().params();
   assert(nic.mtu_payload > kHdr);
   seg_ = nic.mtu_payload - kHdr;
-  handlers_.resize(256);
   if (cfg_.credits_per_peer <= 0) {
     int peers = std::max(1, n_hosts_ - 1);
     cfg_.credits_per_peer =
         std::max(2, static_cast<int>(nic.host_ring_slots) / peers);
   }
   credit_return_threshold_ = std::max(1, cfg_.credits_per_peer / 2);
-  credits_.assign(n_hosts_, cfg_.credits_per_peer);
-  freed_.assign(n_hosts_, 0);
+  peers_.assign(n_hosts_, Peer{cfg_.credits_per_peer, 0, 0, nullptr});
   owed_.assign((n_hosts_ + 63) / 64, 0);
-  next_msg_seq_.assign(n_hosts_, 0);
-  src_state_.resize(n_hosts_);
 }
 
 void Endpoint::register_handler(HandlerId id, HandlerFn fn) {
-  handlers_.at(id) = std::move(fn);
+  handlers_.set(id, std::move(fn));
 }
 
 std::size_t Endpoint::active_handlers() const {
   std::size_t n = 0;
-  for (const auto& st : src_state_) {
-    if (st.current && st.current->task.valid() && !st.current->task.done()) {
-      ++n;
-    }
+  for (const auto& ctx : contexts_) {
+    if (ctx->task.valid() && !ctx->task.done()) ++n;
   }
   return n;
 }
 
 std::uint16_t Endpoint::take_piggyback(int dest) {
-  int v = std::min(freed_[dest], 0xFFFF);
-  freed_[dest] -= v;
-  if (freed_[dest] < credit_return_threshold_) {
+  Peer& p = peers_[dest];
+  int v = std::min(p.freed, 0xFFFF);
+  p.freed -= v;
+  if (p.freed < credit_return_threshold_) {
     owed_[dest >> 6] &= ~(std::uint64_t{1} << (dest & 63));
   }
   return static_cast<std::uint16_t>(v);
@@ -173,7 +168,7 @@ sim::Task<SendStream> Endpoint::begin_message(int dest, std::size_t size,
   }
   host.charge(Cost::kCall, host.params().call_overhead / 2);
   SendStream s(dest, handler, static_cast<std::uint32_t>(size),
-               next_msg_seq_[dest]++);
+               peers_[dest].next_seq++);
   s.trace_id_ = trace::Tracer::msg_id(id(), dest, trace::Layer::kFm2, s.seq_);
   bool fresh = false;
   s.pkt_ = pool().acquire_ref(kHdr + std::min(seg_, size), &fresh);
@@ -266,8 +261,8 @@ sim::Task<void> Endpoint::flush_packet(SendStream& s, bool last) {
 sim::Task<void> Endpoint::acquire_credit(int dest) {
   auto& host = node_.host();
   host.charge(Cost::kFlowCtl, kCreditOpCost);
-  if (credits_[dest] > 0) {
-    --credits_[dest];
+  if (peers_[dest].credits > 0) {
+    --peers_[dest].credits;
     co_return;
   }
   ++stats_.credit_stall_events;
@@ -290,8 +285,8 @@ sim::Task<void> Endpoint::acquire_credit(int dest) {
       pending_.push_back(std::move(*p));
     }
     if (drained > 0) node_.nic().host_ring().poke();
-    if (credits_[dest] > 0) {
-      --credits_[dest];
+    if (peers_[dest].credits > 0) {
+      --peers_[dest].credits;
       co_return;
     }
     host.charge(Cost::kFlowCtl, host.params().poll_gap);
@@ -331,57 +326,58 @@ void Endpoint::apply_credits(net::RxPacket& pkt) {
   PacketHeader h = wire::parse_header(pkt.payload);
   if (h.credits > 0) {
     node_.host().charge(Cost::kFlowCtl, kCreditOpCost);
-    credits_[pkt.src] += h.credits;
+    peers_[pkt.src].credits += h.credits;
   }
 }
 
-void Endpoint::start_message(SrcState& st, int src, const PacketHeader& h) {
+void Endpoint::start_message(Peer& peer, int src, const PacketHeader& h) {
   if (h.pkt_index != 0) {
     throw std::runtime_error("FM2: message began mid-stream (order breach)");
   }
-  if (st.spare) {
-    st.current = std::move(st.spare);
-    st.current->reset(h.msg_bytes, h.msg_seq, h.handler);
+  MsgContext* ctx;
+  if (free_ctx_.empty()) {
+    contexts_.push_back(std::make_unique<MsgContext>(this));
+    free_ctx_.reserve(contexts_.size());
+    ctx = contexts_.back().get();
   } else {
-    st.current = std::make_unique<MsgContext>(this, src, h.msg_bytes,
-                                              h.msg_seq, h.handler);
+    ctx = free_ctx_.back();
+    free_ctx_.pop_back();
   }
-  st.current->stream.trace_id_ =
+  ctx->reset(src, h.msg_bytes, h.msg_seq, h.handler);
+  ctx->stream.trace_id_ =
       trace::Tracer::msg_id(src, id(), trace::Layer::kFm2, h.msg_seq);
-  auto& fn = handlers_.at(h.handler);
-  if (!fn) {
+  peer.current = ctx;
+  const HandlerFn* fn = handlers_.find(h.handler);
+  if (fn == nullptr) {
     // No handler registered: consume-and-drop semantics.
-    st.current->skip_rest = true;
+    ctx->skip_rest = true;
     return;
   }
-  if (!cfg_.whole_message_handlers) {
-    node_.host().charge(Cost::kDispatch,
-                        node_.host().params().handler_dispatch);
-    st.current->task = fn(st.current->stream, src);
-    ++stats_.handler_starts;
-    tracer().record(trace::EventType::kHandlerRun, trace::Layer::kFm2, id(),
-                    st.current->stream.trace_id_,
-                    st.current->stream.available());
-    st.current->task.resume();  // runs until first unfulfillable receive
-  }
+  if (!cfg_.whole_message_handlers) run_handler(*ctx, *fn, src);
 }
 
-void Endpoint::pump(SrcState& st, int src, int* completed) {
-  while (st.current) {
-    MsgContext& ctx = *st.current;
+void Endpoint::run_handler(MsgContext& ctx, const HandlerFn& fn, int src) {
+  node_.host().charge(Cost::kDispatch, node_.host().params().handler_dispatch);
+  ctx.task = fn(ctx.stream, src);
+  ++stats_.handler_starts;
+  tracer().record(trace::EventType::kHandlerRun, trace::Layer::kFm2, id(),
+                  ctx.stream.trace_id_, ctx.stream.available());
+  ctx.task.resume();  // runs until first unfulfillable receive
+}
+
+void Endpoint::pump(Peer& peer, int src, int* completed) {
+  while (peer.current) {
+    MsgContext& ctx = *peer.current;
     RecvStream& sstr = ctx.stream;
 
     // Whole-message ablation: start the handler only once fully arrived.
     if (!ctx.task.valid() && !ctx.skip_rest) {
       if (sstr.fed_ < sstr.msg_bytes_) return;
-      auto& fn = handlers_.at(ctx.handler_id);
-      node_.host().charge(Cost::kDispatch,
-                          node_.host().params().handler_dispatch);
-      ctx.task = fn(sstr, src);
-      ++stats_.handler_starts;
-      tracer().record(trace::EventType::kHandlerRun, trace::Layer::kFm2,
-                      id(), sstr.trace_id_, sstr.available());
-      ctx.task.resume();
+      if (const HandlerFn* fn = handlers_.find(ctx.handler_id)) {
+        run_handler(ctx, *fn, src);
+      } else {
+        ctx.skip_rest = true;
+      }
     }
 
     // Resume the handler while its pending request can be satisfied.
@@ -409,29 +405,30 @@ void Endpoint::pump(SrcState& st, int src, int* completed) {
                         sstr.fed_ == sstr.msg_bytes_;
     if (!(handler_finished && all_consumed)) return;
 
-    // Retire the message, then pull any backlogged packets forward.
+    // Retire the message: its handler frame goes back to the frame pool
+    // and its context to the free list. The backlog stays with the source,
+    // so it moves out first (a pointer swap) and into the next message's
+    // context.
     ++*completed;
     ++stats_.msgs_received;
     stats_.bytes_received += sstr.msg_bytes_;
     tracer().record(trace::EventType::kMsgDone, trace::Layer::kFm2, id(),
                     sstr.trace_id_, sstr.msg_bytes_);
-    st.spare = std::move(st.current);
-    while (!st.backlog.empty() && !st.current) {
-      net::RxPacket pkt = st.backlog.take_front();
-      PacketHeader h = wire::parse_header(pkt.payload);
-      start_message(st, src, h);
-      st.current->stream.feed(std::move(pkt));
+    ctx.task = HandlerTask{};
+    peer.current = nullptr;
+    free_ctx_.push_back(&ctx);
+    if (ctx.backlog.empty()) return;
+    sim::RingQueue<net::RxPacket> backlog = std::move(ctx.backlog);
+    net::RxPacket first = backlog.take_front();
+    start_message(peer, src, wire::parse_header(first.payload));
+    peer.current->stream.feed(std::move(first));
+    // Feed the rest of the backlog that belongs to this message.
+    while (!backlog.empty()) {
+      PacketHeader h = wire::parse_header(backlog.front().payload);
+      if (h.msg_seq != peer.current->stream.seq_) break;
+      peer.current->stream.feed(backlog.take_front());
     }
-    if (st.current) {
-      // Feed the rest of the backlog that belongs to this message.
-      while (!st.backlog.empty()) {
-        PacketHeader h = wire::parse_header(st.backlog.front().payload);
-        if (h.msg_seq != st.current->stream.seq_) break;
-        st.current->stream.feed(st.backlog.take_front());
-      }
-      continue;  // pump the new message
-    }
-    return;
+    peer.current->backlog = std::move(backlog);
   }
 }
 
@@ -446,17 +443,17 @@ void Endpoint::ingest(net::RxPacket&& pkt, int* completed) {
   }
 
   int src = pkt.src;
-  SrcState& st = src_state_[src];
-  if (!st.current) {
-    start_message(st, src, h);
-    st.current->stream.feed(std::move(pkt));
-  } else if (h.msg_seq == st.current->stream.seq_) {
-    st.current->stream.feed(std::move(pkt));
+  Peer& peer = peers_[src];
+  if (!peer.current) {
+    start_message(peer, src, h);
+    peer.current->stream.feed(std::move(pkt));
+  } else if (h.msg_seq == peer.current->stream.seq_) {
+    peer.current->stream.feed(std::move(pkt));
   } else {
-    st.backlog.push_back(std::move(pkt));
+    peer.current->backlog.push_back(std::move(pkt));
     return;  // future message; nothing to pump yet
   }
-  pump(st, src, completed);
+  pump(peer, src, completed);
 }
 
 sim::Task<int> Endpoint::extract(std::size_t budget) {

@@ -25,6 +25,7 @@
 #include "common/buffer.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/fmwire.hpp"
+#include "common/handler_table.hpp"
 #include "myrinet/node.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/ring.hpp"
@@ -86,9 +87,7 @@ using HandlerFn = std::function<HandlerTask(RecvStream&, int src)>;
 /// Receive-side view of one in-flight message.
 class RecvStream {
  public:
-  RecvStream(Endpoint* ep, int src, std::uint32_t msg_bytes,
-             std::uint32_t seq)
-      : ep_(ep), src_(src), msg_bytes_(msg_bytes), seq_(seq) {}
+  explicit RecvStream(Endpoint* ep) noexcept : ep_(ep) {}
   RecvStream(const RecvStream&) = delete;
   RecvStream& operator=(const RecvStream&) = delete;
 
@@ -137,9 +136,11 @@ class RecvStream {
   bool try_fulfill();               // move bytes into the open request
   void discard_all_queued();        // skip-mode drain
 
-  /// Re-arm a retired stream for the next message from the same source,
-  /// keeping q_'s ring storage so steady-state streams never reallocate it.
-  void reset(std::uint32_t msg_bytes, std::uint32_t seq) noexcept {
+  /// Arm the stream for a message from `src`. Streams are pooled per
+  /// endpoint and move between sources, so every field is set here; q_
+  /// keeps its ring storage, so a reused stream never reallocates it.
+  void reset(int src, std::uint32_t msg_bytes, std::uint32_t seq) noexcept {
+    src_ = src;
     msg_bytes_ = msg_bytes;
     seq_ = seq;
     consumed_ = fed_ = queued_ = 0;
@@ -150,9 +151,9 @@ class RecvStream {
   }
 
   Endpoint* ep_;
-  int src_;
-  std::uint32_t msg_bytes_;
-  std::uint32_t seq_;
+  int src_ = -1;
+  std::uint32_t msg_bytes_ = 0;
+  std::uint32_t seq_ = 0;
   std::uint64_t trace_id_ = 0;  // set by Endpoint::start_message
   std::size_t consumed_ = 0;  // handler-consumed + skipped bytes
   std::size_t fed_ = 0;       // message bytes that have been fed
@@ -325,7 +326,7 @@ class Endpoint {
     std::uint64_t credit_packets_sent = 0;
   };
   const Stats& stats() const noexcept { return stats_; }
-  int credits_available(int peer) const { return credits_[peer]; }
+  int credits_available(int peer) const { return peers_[peer].credits; }
   /// Messages whose handlers are currently suspended mid-receive.
   std::size_t active_handlers() const;
 
@@ -338,44 +339,47 @@ class Endpoint {
     return credit_return_threshold_;
   }
   /// Receive slots freed locally but not yet returned to `src` as credits.
-  int credits_pending_return(int src) const { return freed_[src]; }
+  int credits_pending_return(int src) const { return peers_[src].freed; }
   /// Packets parked host-side while a blocked sender hunted for credits.
   std::size_t parked_packets() const noexcept { return pending_.size(); }
   /// Packets of future messages waiting behind an unfinished one.
   std::size_t backlogged_packets() const noexcept {
     std::size_t n = 0;
-    for (const auto& st : src_state_) n += st.backlog.size();
+    for (const auto& ctx : contexts_) n += ctx->backlog.size();
     return n;
   }
 
  private:
   friend class RecvStream;
 
+  /// One in-flight incoming message. Contexts are pooled per endpoint:
+  /// an endpoint owns as many as it has had messages in flight at once,
+  /// not one per source it has heard from.
   struct MsgContext {
-    MsgContext(Endpoint* ep, int src, std::uint32_t bytes, std::uint32_t seq,
-               HandlerId handler)
-        : stream(ep, src, bytes, seq), handler_id(handler) {}
-    /// Recycle for the next message (same endpoint/source). Dropping the
-    /// old task returns its frame to the coroutine-frame pool.
-    void reset(std::uint32_t bytes, std::uint32_t seq, HandlerId handler) {
-      stream.reset(bytes, seq);
-      task = HandlerTask{};
+    explicit MsgContext(Endpoint* ep) noexcept : stream(ep) {}
+    /// Arm for a message from `src`. The previous message's task was
+    /// dropped when it retired.
+    void reset(int src, std::uint32_t bytes, std::uint32_t seq,
+               HandlerId handler) noexcept {
+      stream.reset(src, bytes, seq);
       handler_id = handler;
       skip_rest = false;
     }
     RecvStream stream;
     HandlerTask task;
-    HandlerId handler_id;
+    HandlerId handler_id = 0;
     bool skip_rest = false;  // handler returned early; drop remaining bytes
+    // Packets of the source's later messages, queued behind this one.
+    sim::RingQueue<net::RxPacket> backlog;
   };
-  struct SrcState {
-    std::unique_ptr<MsgContext> current;
-    // Most recently retired context, kept so a message stream reuses one
-    // MsgContext (and its stream's ring storage) instead of allocating one
-    // per message.
-    std::unique_ptr<MsgContext> spare;
-    sim::RingQueue<net::RxPacket> backlog;  // packets of subsequent messages
+  /// Per-peer protocol state, both directions in one record.
+  struct Peer {
+    std::int32_t credits;     // send credits held toward the peer
+    std::int32_t freed;       // receive slots freed, not yet returned
+    std::uint32_t next_seq;   // sequence number of the next message sent
+    MsgContext* current;      // message in progress from the peer, or null
   };
+  static_assert(sizeof(Peer) == 24);
 
   sim::Task<void> flush_packet(SendStream& s, bool last);
   BufferRef stage_contrib(ByteSpan src);
@@ -383,7 +387,7 @@ class Endpoint {
   sim::Task<void> acquire_credit(int dest);
   std::uint16_t take_piggyback(int dest);
   void slot_freed(int src) {
-    if (++freed_[src] >= credit_return_threshold_) {
+    if (++peers_[src].freed >= credit_return_threshold_) {
       owed_[src >> 6] |= std::uint64_t{1} << (src & 63);
     }
   }
@@ -395,8 +399,9 @@ class Endpoint {
 
   /// Route one data packet into its source's stream machinery.
   void ingest(net::RxPacket&& pkt, int* completed);
-  void start_message(SrcState& st, int src, const PacketHeader& h);
-  void pump(SrcState& st, int src, int* completed);
+  void start_message(Peer& peer, int src, const PacketHeader& h);
+  void run_handler(MsgContext& ctx, const HandlerFn& fn, int src);
+  void pump(Peer& peer, int src, int* completed);
   void apply_credits(net::RxPacket& pkt);
 
   net::Fabric& fabric_;
@@ -405,14 +410,16 @@ class Endpoint {
   int credit_return_threshold_ = 1;
   int n_hosts_;
   std::size_t seg_;
-  std::vector<HandlerFn> handlers_;
-  std::vector<int> credits_;
-  std::vector<int> freed_;
-  // Bit p set iff freed_[p] >= credit_return_threshold_: extract() visits
-  // only these peers, so a poll costs work per owed peer, not per host.
+  HandlerTable<HandlerFn> handlers_;
+  std::vector<Peer> peers_;
+  // Bit p set iff peers_[p].freed >= credit_return_threshold_: extract()
+  // visits only these peers, so a poll costs work per owed peer, not per
+  // host.
   std::vector<std::uint64_t> owed_;
-  std::vector<std::uint32_t> next_msg_seq_;
-  std::vector<SrcState> src_state_;
+  // Every receive context this endpoint owns, and the ones not in use.
+  // free_ctx_ is reserved to contexts_.size(), so retiring never allocates.
+  std::vector<std::unique_ptr<MsgContext>> contexts_;
+  std::vector<MsgContext*> free_ctx_;
   sim::RingQueue<net::RxPacket> pending_;  // parked while hunting for credits
   sim::RingQueue<std::function<sim::Task<void>()>> deferred_;
   Stats stats_;

@@ -627,15 +627,19 @@ sim::Task<void> Nic::retransmit_program() {
       // Snapshot the window: transmits suspend, and an ack arriving
       // meanwhile pops from pt.retained (iterating it live would be a
       // use-after-free). Stale retransmissions are dropped as duplicates.
-      std::vector<WirePacket> window(pt.retained.begin(),
-                                     pt.retained.end());
-      for (const WirePacket& pkt : window) {
+      // The copy's buffer is sized once, to the largest window.
+      rtx_window_.reserve(static_cast<std::size_t>(p_.retransmit_window));
+      for (std::size_t i = 0; i < pt.retained.size(); ++i) {
+        rtx_window_.push_back(pt.retained[i]);
+      }
+      for (const WirePacket& pkt : rtx_window_) {
         ++stats_.retransmissions;
         fabric_.tracer().record(trace::EventType::kRetransmit,
                                 trace::Layer::kNic, id_, pkt.trace_id,
                                 pkt.link_seq);
         co_await fabric_.transmit(pkt);
       }
+      rtx_window_.clear();
     }
     --emit_loops_;
   }

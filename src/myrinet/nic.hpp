@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <unordered_map>
@@ -252,8 +251,8 @@ class Nic {
 
   struct PeerTx {
     std::uint32_t next_seq = 0;
-    std::uint32_t base = 0;            // oldest unacked
-    std::deque<WirePacket> retained;   // [base, next_seq)
+    std::uint32_t base = 0;                // oldest unacked
+    sim::RingQueue<WirePacket> retained;   // [base, next_seq)
     sim::Ps last_progress = 0;
   };
   struct PeerRx {
@@ -315,9 +314,16 @@ class Nic {
   sim::Channel<RxPacket> rx_checked_;     // CRC-checked, awaiting host DMA
   sim::Semaphore rx_slack_;
   sim::Channel<RxPacket> host_ring_;
-  // reliable-link extension state (sized n_hosts when enabled)
+  // reliable-link extension state: one entry per host when enabled. An
+  // entry allocates nothing until its peer is used (a retention ring
+  // allocates on its first send).
   std::vector<PeerTx> tx_peers_;
   std::vector<PeerRx> rx_peers_;
+  // retransmit_program's copy of the window it resends: allocated on the
+  // first retransmission, then reused. Cleared after each peer's burst,
+  // because it holds BufferRef shares and RDMA's DONE protocol waits for
+  // use_count() == 1.
+  std::vector<WirePacket> rtx_window_;
   sim::CondVar window_cv_;   // tx blocked on the retransmit window
   sim::CondVar ack_cv_;      // acks pending coalescing
   sim::CondVar rtx_cv_;      // retained packets exist

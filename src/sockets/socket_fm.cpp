@@ -127,7 +127,6 @@ sim::Task<void> Socket::send(ByteSpan data) {
   auto& ep = owner_->ep_;
   auto& host = ep.host();
   host.charge(sim::Cost::kCall, sim::ns(300));
-  owner_->stats_.bytes_sent += data.size();
   std::size_t off = 0;
   do {
     std::size_t n = std::min(SocketFm::kMaxFragment, data.size() - off);

@@ -81,7 +81,6 @@ class SocketFm {
   int id() const noexcept { return ep_.id(); }
 
   struct Stats {
-    std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
     std::uint64_t zero_copy_bytes = 0;  // landed directly in user buffers
     std::uint64_t buffered_bytes = 0;   // staged in connection buffers

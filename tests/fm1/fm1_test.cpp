@@ -268,6 +268,29 @@ TEST(Fm1, MultipleHandlersDispatchById) {
   EXPECT_EQ(b, 1);
 }
 
+// The handler table grows on registration up to id 255. A packet naming an
+// id with no handler, inside the table or past its end, is consumed and
+// dropped.
+TEST(Fm1, HandlerIdsUpTo255UnregisteredDropped) {
+  World w(net::sparc_fm1_cluster(2));
+  int got = 0;
+  w.ep(1).register_handler(200, [&](int, ByteSpan) { ++got; });
+  EXPECT_THROW(w.ep(1).register_handler(256, [](int, ByteSpan) {}),
+               std::out_of_range);
+  w.eng.spawn([](Endpoint& ep) -> Task<void> {
+    Bytes m(8);
+    co_await ep.send(1, 100, ByteSpan{m});  // inside the table, no handler
+    co_await ep.send(1, 255, ByteSpan{m});  // past the table's end
+    co_await ep.send(1, 200, ByteSpan{m});
+  }(w.ep(0)));
+  w.eng.spawn([](Endpoint& ep) -> Task<void> {
+    co_await ep.poll_until([&] { return ep.stats().msgs_received == 3; });
+  }(w.ep(1)));
+  w.cluster.run();
+  EXPECT_EQ(w.ep(1).stats().msgs_received, 3u);
+  EXPECT_EQ(got, 1);
+}
+
 TEST(Fm1, ManyToOneDelivery) {
   World w(net::sparc_fm1_cluster(4));
   int got = 0;

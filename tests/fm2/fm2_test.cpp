@@ -300,6 +300,86 @@ TEST(Fm2, BackToBackMessagesSameSource) {
   EXPECT_EQ(seen, kN);
 }
 
+// Two coroutines on host 1 send multi-packet messages to host 0 at once, so
+// the packets of the second (seq 1) arrive while the first is unfinished
+// and queue behind it; host 2 sends in between. The receiver's contexts are
+// pooled, so the backlog moves from the retiring context into the next.
+TEST(Fm2, ConcurrentMessagesFromOneSourceQueueBehindTheFirst) {
+  // Return threshold 1, so every freed slot goes home. Three credits
+  // outnumber the second message's packets, so its backlog can never hold
+  // the credits the first one still needs.
+  Config cfg;
+  cfg.credits_per_peer = 3;
+  World w(net::ppro_fm2_cluster(3), cfg);
+  ASSERT_EQ(w.ep(0).credit_return_threshold(), 1);
+  const std::size_t seg = w.ep(1).max_payload_per_packet();
+  const std::size_t len = seg + seg / 2;  // 2 packets each
+  const Bytes a = pattern_bytes(11, len);
+  const Bytes b = pattern_bytes(12, len);
+  const Bytes c = pattern_bytes(13, len);
+  struct Got {
+    int src;
+    Bytes bytes;
+  };
+  std::vector<Got> got;
+  std::size_t max_backlog = 0;
+  std::size_t max_active = 0;
+  Endpoint& rx = w.ep(0);
+  rx.register_handler(0, [&](RecvStream& s, int src) -> HandlerTask {
+    Bytes buf(s.msg_bytes());
+    for (std::size_t off = 0; off < buf.size();) {
+      const std::size_t n = std::min(seg / 3, buf.size() - off);
+      co_await s.receive(buf.data() + off, n);
+      off += n;
+      max_backlog = std::max(max_backlog, rx.backlogged_packets());
+      max_active = std::max(max_active, rx.active_handlers());
+    }
+    got.push_back({src, std::move(buf)});
+  });
+  auto send = [](Endpoint& ep, ByteSpan m) -> Task<void> {
+    co_await ep.send(0, 0, m);
+  };
+  w.eng.spawn(send(w.ep(1), ByteSpan{a}));
+  w.eng.spawn(send(w.ep(1), ByteSpan{b}));
+  w.eng.spawn(send(w.ep(2), ByteSpan{c}));
+  w.eng.spawn([](Endpoint& ep, const std::vector<Got>& g) -> Task<void> {
+    co_await ep.poll_until([&] { return g.size() == 3; });
+  }(rx, got));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
+
+  ASSERT_EQ(got.size(), 3u);
+  std::vector<Bytes> from1;
+  for (const Got& g : got) {
+    if (g.src == 1) {
+      from1.push_back(g.bytes);
+    } else {
+      EXPECT_EQ(g.bytes, c);
+    }
+  }
+  ASSERT_EQ(from1.size(), 2u);
+  EXPECT_EQ(from1[0], a);  // sequence order: a began first
+  EXPECT_EQ(from1[1], b);
+  EXPECT_GT(max_backlog, 0u) << "the second message never queued";
+  EXPECT_EQ(max_active, 2u) << "hosts 1 and 2 never overlapped";
+  EXPECT_EQ(rx.backlogged_packets(), 0u);
+  EXPECT_EQ(rx.active_handlers(), 0u);
+
+  // Settle: the senders extract the credit packets still in their rings.
+  for (int round = 0; round < 10; ++round) {
+    for (int i : {1, 2}) {
+      w.eng.spawn([](Endpoint& ep) -> Task<void> {
+        (void)co_await ep.extract();
+      }(w.ep(i)));
+    }
+    ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
+  }
+  for (int i : {1, 2}) {
+    EXPECT_EQ(w.ep(i).credits_available(0), cfg.credits_per_peer)
+        << "sender " << i;
+    EXPECT_EQ(rx.credits_pending_return(i), 0) << "sender " << i;
+  }
+}
+
 TEST(Fm2, SendPieceOverflowThrows) {
   World w(net::ppro_fm2_cluster(2));
   w.eng.spawn([](Endpoint& ep) -> Task<void> {
@@ -483,6 +563,31 @@ TEST(Fm2, UnregisteredHandlerDropsMessage) {
   ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
   EXPECT_EQ(w.ep(1).stats().msgs_received, 1u);
   EXPECT_EQ(w.ep(1).stats().handler_starts, 0u);
+}
+
+// The handler table grows on registration up to id 255. A packet naming an
+// id with no handler, inside the table or past its end, is consumed and
+// dropped.
+TEST(Fm2, HandlerIdsUpTo255UnregisteredDropped) {
+  World w(net::ppro_fm2_cluster(2));
+  int got = 0;
+  w.ep(1).register_handler(200, [&](RecvStream& s, int) -> HandlerTask {
+    co_await s.skip(s.msg_bytes());
+    ++got;
+  });
+  EXPECT_THROW(w.ep(1).register_handler(256, nullptr), std::out_of_range);
+  w.eng.spawn([](Endpoint& ep) -> Task<void> {
+    Bytes m(500);
+    co_await ep.send(1, 100, ByteSpan{m});  // inside the table, no handler
+    co_await ep.send(1, 255, ByteSpan{m});  // past the table's end
+    co_await ep.send(1, 200, ByteSpan{m});
+  }(w.ep(0)));
+  w.eng.spawn([](Endpoint& ep) -> Task<void> {
+    co_await ep.poll_until([&] { return ep.stats().msgs_received == 3; });
+  }(w.ep(1)));
+  ASSERT_TRUE(fmx::test::run_to_exhaustion(w.cluster));
+  EXPECT_EQ(w.ep(1).stats().handler_starts, 1u);
+  EXPECT_EQ(got, 1);
 }
 
 class Fm2PropertyTest

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "bench/common/alloc_hook.hpp"
 #include "fm2/fm2.hpp"
@@ -156,6 +158,87 @@ TEST(Metrics, SetupAllocatesPerHostNotPerCounter) {
   bench::alloc_hook_reset();
   fm2::Endpoint ep(cl.node(0), cl.fabric_of(0));
   EXPECT_LE(bench::alloc_hook_count(), 10u);
+}
+
+TEST(Metrics, Fm2EndpointHoldsOneCompactRecordPerPeer) {
+  // One 24-byte record per peer (credits, freed slots, next sequence, the
+  // message in progress) plus the owed-peer bitset: 24,704 B at 1024
+  // hosts. No handler table or receive context exists before it is used.
+  net::ParallelCluster cl(net::fat_tree_cluster(1024), 1);
+  bench::alloc_hook_reset();
+  fm2::Endpoint ep(cl.node(0), cl.fabric_of(0));
+  EXPECT_LE(bench::alloc_hook_bytes(), 32u * 1024);
+}
+
+TEST(Metrics, ReliableLinkBuildAllocatesPerHostNotPerPeer) {
+  // Every NIC keeps go-back-N state for every peer, but a peer's
+  // retention ring allocates only on its first send: the build stays a
+  // few blocks per host, not one per (host, peer) pair.
+  auto params = net::fat_tree_cluster(1024);
+  params.nic.reliable_link = true;
+  bench::alloc_hook_reset();
+  net::ParallelCluster cl(params, 1);
+  EXPECT_LE(bench::alloc_hook_count(), 20u * 1024);
+}
+
+TEST(Metrics, FirstMessageFromANewSourceReusesAFreeContext) {
+  // A receiver owns receive contexts for the messages it has in flight,
+  // not for every source it has heard from. Once one context is free, 61
+  // first messages from new sources allocate exactly what the same 61
+  // messages allocate again (the harness's own spawns).
+  constexpr int kHosts = 64;
+  net::ParallelCluster cl(net::fat_tree_cluster(kHosts), 1);
+  sim::Engine& eng = cl.shard_engine(0);
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
+  for (int i = 0; i < kHosts; ++i) {
+    eps.push_back(
+        std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i)));
+  }
+  int got[2] = {0, 0};
+  for (int r : {0, 1}) {
+    eps[r]->register_handler(0, [&got, r](fm2::RecvStream& s,
+                                          int) -> fm2::HandlerTask {
+      co_await s.skip(s.msg_bytes());
+      ++got[r];
+    });
+  }
+  const Bytes msg(64);
+  auto send = [](fm2::Endpoint& ep, int dst, ByteSpan m) -> Task<void> {
+    co_await ep.send(dst, 0, m);
+  };
+  auto poll = [](fm2::Endpoint& ep, const int& n, int want) -> Task<void> {
+    co_await ep.poll_until([&] { return n == want; });
+  };
+
+  // Warm every sender: two messages each to host 1.
+  for (int src = 2; src < kHosts; ++src) {
+    for (int k = 0; k < 2; ++k) eng.spawn(send(*eps[src], 1, ByteSpan{msg}));
+  }
+  eng.spawn(poll(*eps[1], got[1], 2 * (kHosts - 2)));
+  ASSERT_TRUE(test::run_to_exhaustion(cl));
+
+  // Host 0 receives from host 2, so it owns one context and it is free.
+  // Its poll loop stays up across the rounds below.
+  constexpr int kSources = kHosts - 3;  // hosts 3..63
+  eng.spawn(poll(*eps[0], got[0], 1 + 2 * kSources));
+  eng.spawn(send(*eps[2], 0, ByteSpan{msg}));
+  cl.run();
+  ASSERT_EQ(got[0], 1);
+
+  std::uint64_t count[2], bytes[2];
+  for (int round = 0; round < 2; ++round) {
+    bench::alloc_hook_reset();
+    for (int src = 3; src < kHosts; ++src) {
+      eng.spawn(send(*eps[src], 0, ByteSpan{msg}));
+      cl.run();
+    }
+    count[round] = bench::alloc_hook_count();
+    bytes[round] = bench::alloc_hook_bytes();
+  }
+  EXPECT_EQ(got[0], 1 + 2 * kSources);
+  EXPECT_EQ(eng.pending_roots(), 0);
+  EXPECT_EQ(count[0], count[1]);
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 }  // namespace
